@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -421,13 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Accepted for interface stability; the engines are single-threaded and
-    # output does not depend on it.
-    threads = os.environ.get("QSYMGRAPH_THREADS")
-    if threads is not None and (not threads.isdigit() or int(threads) < 1):
-        print("error: QSYMGRAPH_THREADS must be a positive integer",
-              file=sys.stderr)
-        return 2
     parser = _build_parser()
     args = parser.parse_args(argv)
     return args.func(args)

@@ -12,12 +12,17 @@ a prime is independent over the rationals, so every reported dimension
 is a certified lower bound on the exact one; a vector judged dependent
 would have to vanish modulo both primes at once to be misjudged, and
 any disagreement between the two reductions raises ModularMismatchError
-instead of continuing. Both primes are congruent to 3 mod 4 so that
-Gaussian integers reduce into a field and pivots stay invertible when
-oriented colors put imaginary units into the boxes. The test suite pins
-the dimensions of the worked examples against closed forms and against
-the all-rational reference operations in spinplanar, which use no
-modular arithmetic at all.
+instead of continuing. The test suite pins the dimensions of the worked
+examples against closed forms and against the all-rational reference
+operations in spinplanar, which use no modular arithmetic at all.
+
+Every color is seeded by its real 0/1 arc matrix A, symmetric for an
+edge color and one-way for an oriented one: a magic unitary commutes
+with the paper's oriented box X = i(A - A^T) exactly when it commutes
+with A and with A^T (the color-splitting lemma), and A = -(X.X + iX)/2
+with X.X the entrywise square, so A and X generate the same fixed-point
+spaces. A^T needs no seed of its own, because it is the star of A at
+level 2 and the star of every basis vector is queued.
 
 Multiplicative saturation multiplies basis vectors on the right by a
 letter set. At low levels every basis vector is a letter, which is plain
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ORIENTED, ColoredGraph, incidence, total_matrix
+from .graphs import ColoredGraph, _component_walk_matrix, total_matrix
 from .scalars import GaussianRational
 
 _PRIMES = np.array([2147483647, 2147483587], dtype=np.int64)
@@ -94,81 +99,55 @@ class _Level:
 # ---------------------------------------------------------------------------
 # Reduced echelon bases modulo the two primes.
 #
-# A vector is stored as an int64 array of shape (2, R) for plain graphs and
-# (2, 2, R) with a real and an imaginary layer when some color is oriented;
-# the leading axis is always the prime. Rows are kept pivot-normalized to 1
-# with pivot columns cleared everywhere else, so reducing a vector is a
-# single matrix product rather than a row-by-row sweep.
+# A vector is stored as an int64 array of shape (2, R), the leading axis
+# being the prime. Rows are kept pivot-normalized to 1 with pivot columns
+# cleared everywhere else, so reducing a vector is a single matrix
+# product rather than a row-by-row sweep.
 
 
-def _gauss_inv(a: int, b: int, p: int) -> tuple[int, int]:
-    t = pow((a * a + b * b) % p, p - 2, p)
-    return (a * t) % p, ((p - b) * t) % p
+def _lead(row: np.ndarray) -> int:
+    nz = np.flatnonzero(row)
+    return int(nz[0]) if len(nz) else -1
 
 
 class _ModBasis:
-    __slots__ = ("width", "complex_mode", "rank", "pivcols", "piv_arr", "mre", "mim")
+    __slots__ = ("width", "rank", "pivcols", "piv_arr", "rows")
 
-    def __init__(self, width: int, complex_mode: bool):
+    def __init__(self, width: int):
         self.width = width
-        self.complex_mode = complex_mode
         self.rank = 0
         self.pivcols: list[int] = []
         self.piv_arr = np.empty(0, dtype=np.int64)
-        self.mre = np.zeros((2, 4, width), dtype=np.int64)
-        self.mim = np.zeros((2, 4, width), dtype=np.int64) if complex_mode else None
+        self.rows = np.zeros((2, 4, width), dtype=np.int64)
 
     @property
     def saturated(self) -> bool:
         return self.rank >= self.width
 
     def _grow(self) -> None:
-        if self.rank < self.mre.shape[1]:
+        if self.rank < self.rows.shape[1]:
             return
-        cap = self.mre.shape[1] * 2
-        grown = np.zeros((2, cap, self.width), dtype=np.int64)
-        grown[:, : self.rank] = self.mre[:, : self.rank]
-        self.mre = grown
-        if self.mim is not None:
-            grown = np.zeros((2, cap, self.width), dtype=np.int64)
-            grown[:, : self.rank] = self.mim[:, : self.rank]
-            self.mim = grown
+        grown = np.zeros((2, self.rows.shape[1] * 2, self.width), dtype=np.int64)
+        grown[:, : self.rank] = self.rows[:, : self.rank]
+        self.rows = grown
 
     def _reduce(self, vec: np.ndarray) -> np.ndarray:
         if self.rank == 0:
-            return vec % _PRIMES.reshape((2,) + (1,) * (vec.ndim - 1))
+            return vec % _PRIMES[:, None]
         out = np.empty_like(vec)
         for k in range(2):
             p = int(_PRIMES[k])
-            rows_re = self.mre[k, : self.rank]
-            if not self.complex_mode:
-                c = vec[k][self.piv_arr]
-                drop = (c[:, None] * rows_re % p).sum(axis=0)
-                out[k] = (vec[k] - drop) % p
-            else:
-                rows_im = self.mim[k, : self.rank]
-                cre = vec[k, 0][self.piv_arr]
-                cim = vec[k, 1][self.piv_arr]
-                dre = (cre[:, None] * rows_re % p - cim[:, None] * rows_im % p).sum(axis=0)
-                dim = (cre[:, None] * rows_im % p + cim[:, None] * rows_re % p).sum(axis=0)
-                out[k, 0] = (vec[k, 0] - dre) % p
-                out[k, 1] = (vec[k, 1] - dim) % p
+            c = vec[k][self.piv_arr]
+            drop = (c[:, None] * self.rows[k, : self.rank] % p).sum(axis=0)
+            out[k] = (vec[k] - drop) % p
         return out
-
-    def _lead(self, vec: np.ndarray, k: int) -> int:
-        if self.complex_mode:
-            nz = np.flatnonzero(vec[k, 0] | vec[k, 1])
-        else:
-            nz = np.flatnonzero(vec[k])
-        return int(nz[0]) if len(nz) else -1
 
     def insert(self, vec: np.ndarray) -> bool:
         """Reduce against the basis and adjoin if independent."""
         if self.saturated:
             return False
         vec = self._reduce(vec)
-        lead0 = self._lead(vec, 0)
-        lead1 = self._lead(vec, 1)
+        lead0, lead1 = _lead(vec[0]), _lead(vec[1])
         if lead0 != lead1:
             raise ModularMismatchError(
                 f"reductions disagree (leads {lead0} vs {lead1}); "
@@ -180,39 +159,20 @@ class _ModBasis:
         self._grow()
         for k in range(2):
             p = int(_PRIMES[k])
-            if not self.complex_mode:
-                inv = pow(int(vec[k, col]), p - 2, p)
-                row = vec[k] * inv % p
-                c = self.mre[k, : self.rank, col].copy()
-                self.mre[k, : self.rank] = (
-                    self.mre[k, : self.rank] - c[:, None] * row % p
-                ) % p
-                self.mre[k, self.rank] = row
-            else:
-                ire, iim = _gauss_inv(int(vec[k, 0, col]), int(vec[k, 1, col]), p)
-                row_re = (vec[k, 0] * ire % p - vec[k, 1] * iim % p) % p
-                row_im = (vec[k, 0] * iim % p + vec[k, 1] * ire % p) % p
-                cre = self.mre[k, : self.rank, col].copy()
-                cim = self.mim[k, : self.rank, col].copy()
-                self.mre[k, : self.rank] = (
-                    self.mre[k, : self.rank]
-                    - (cre[:, None] * row_re % p - cim[:, None] * row_im % p)
-                ) % p
-                self.mim[k, : self.rank] = (
-                    self.mim[k, : self.rank]
-                    - (cre[:, None] * row_im % p + cim[:, None] * row_re % p)
-                ) % p
-                self.mre[k, self.rank] = row_re
-                self.mim[k, self.rank] = row_im
+            inv = pow(int(vec[k, col]), p - 2, p)
+            row = vec[k] * inv % p
+            c = self.rows[k, : self.rank, col].copy()
+            self.rows[k, : self.rank] = (
+                self.rows[k, : self.rank] - c[:, None] * row % p
+            ) % p
+            self.rows[k, self.rank] = row
         self.pivcols.append(col)
         self.piv_arr = np.asarray(self.pivcols, dtype=np.int64)
         self.rank += 1
         return True
 
     def row(self, i: int) -> np.ndarray:
-        if not self.complex_mode:
-            return self.mre[:, i]
-        return np.stack([self.mre[:, i], self.mim[:, i]], axis=1)
+        return self.rows[:, i]
 
 
 # ---------------------------------------------------------------------------
@@ -263,16 +223,13 @@ class _Engine:
                 f"level {top} has {self.n**top} tuples, over the limit {size_limit}"
             )
         self.letter_mode = letter_mode
-        self.complex_mode = any(c.kind == ORIENTED for c in g.components)
         from .symmetry import automorphism_group
 
         aut = automorphism_group(g)
         gens = [np.asarray(p, dtype=np.int64) for p in aut.generators]
         self.levels = [_Level(self.n, m, gens) for m in range(top + 1)]
         self._build_op_tables()
-        self.bases = [
-            _ModBasis(lv.R, self.complex_mode) for lv in self.levels
-        ]
+        self.bases = [_ModBasis(lv.R) for lv in self.levels]
         self.letters: list[list[tuple]] = [[] for _ in range(top + 1)]
         self.letter_seen: list[set[bytes]] = [set() for _ in range(top + 1)]
         self.mult_tables: list[tuple[np.ndarray, np.ndarray] | None] = [
@@ -358,15 +315,9 @@ class _Engine:
 
     # -- vectors -----------------------------------------------------------
 
-    def _wrap(self, re: np.ndarray, im: np.ndarray | None = None) -> np.ndarray:
+    def _wrap(self, vec: np.ndarray) -> np.ndarray:
         """Stack an exact small-integer vector into its two modular images."""
-        re = re.astype(np.int64)
-        if not self.complex_mode:
-            return re[None, :] % _PRIMES[:, None]
-        if im is None:
-            im = np.zeros_like(re)
-        pair = np.stack([re, im.astype(np.int64)])
-        return pair[None, :, :] % _PRIMES[:, None, None]
+        return vec.astype(np.int64)[None, :] % _PRIMES[:, None]
 
     def _unit_vec(self) -> np.ndarray:
         return self._wrap(np.ones(1, dtype=np.int64))
@@ -386,67 +337,44 @@ class _Engine:
         return self._wrap(ok.astype(np.int64))
 
     def _seed_vecs(self, g: ColoredGraph) -> list[np.ndarray]:
+        """The arc matrix of every color, at level 2."""
         lv = self.levels[2]
         i = lv.reps // self.n
         j = lv.reps % self.n
-        out = []
-        for comp in g.components:
-            mat = incidence(g, comp.label)
-            re = np.zeros((self.n, self.n), dtype=np.int64)
-            im = np.zeros((self.n, self.n), dtype=np.int64)
-            for a in range(self.n):
-                for b in range(self.n):
-                    z = mat[a, b]
-                    re[a, b] = int(z.re)
-                    im[a, b] = int(z.im)
-            out.append(self._wrap(re[i, j], im[i, j] if self.complex_mode else None))
-        return out
+        return [
+            self._wrap(_component_walk_matrix(g, comp.label)[i, j])
+            for comp in g.components
+        ]
 
     # -- structural operations on coordinate vectors ------------------------
 
-    def _mods(self, ndim: int) -> np.ndarray:
-        return _PRIMES.reshape((2,) + (1,) * (ndim - 1))
-
     def _rotate(self, m: int, v: np.ndarray) -> np.ndarray:
-        return v[..., self.rot_gather[m]]
+        return v[:, self.rot_gather[m]]
 
     def _star(self, m: int, v: np.ndarray) -> np.ndarray:
-        out = v[..., self.rev_gather[m]]
-        if self.complex_mode:
-            out = out.copy()
-            out[:, 1] = -out[:, 1] % _PRIMES[:, None]
-        return out
+        return v[:, self.rev_gather[m]]
 
     def _incl(self, m: int, v: np.ndarray) -> np.ndarray:
         gather, mask = self.incl_map[m + 1]
-        out = v[..., gather]
+        out = v[:, gather]
         if mask is not None:
             out = out * mask
         return out
 
     def _expect(self, m: int, v: np.ndarray) -> np.ndarray:
         table, summed = self.expect_map[m - 1]
-        out = v[..., table]
+        out = v[:, table]
         if summed:
-            out = out.sum(axis=-1) % self._mods(v.ndim)
+            out = out.sum(axis=-1) % _PRIMES[:, None]
         return out
 
-    def _make_letter(self, m: int, vec: np.ndarray) -> tuple:
+    def _make_letter(self, m: int, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a_orb, b_orb = self._mult_tables_for(m)
-        if self.complex_mode:
-            return (a_orb, vec[:, 0][:, b_orb], vec[:, 1][:, b_orb])
-        return (a_orb, vec[:, b_orb], None)
+        return a_orb, vec[:, b_orb]
 
-    def _apply_letter(self, letter: tuple, v: np.ndarray) -> np.ndarray:
-        a_orb, bre, bim = letter
-        mods = _PRIMES[:, None, None]
-        if not self.complex_mode:
-            return (v[:, a_orb] * bre % mods).sum(axis=2) % _PRIMES[:, None]
-        vre = v[:, 0][:, a_orb]
-        vim = v[:, 1][:, a_orb]
-        re = (vre * bre % mods - vim * bim % mods).sum(axis=2) % _PRIMES[:, None]
-        im = (vre * bim % mods + vim * bre % mods).sum(axis=2) % _PRIMES[:, None]
-        return np.stack([re, im], axis=1)
+    def _apply_letter(self, letter: tuple[np.ndarray, np.ndarray], v: np.ndarray) -> np.ndarray:
+        a_orb, b = letter
+        return (v[:, a_orb] * b % _PRIMES[:, None, None]).sum(axis=2) % _PRIMES[:, None]
 
     # -- scheduling ----------------------------------------------------------
 

@@ -10,7 +10,7 @@ sees the color partition.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -248,11 +248,6 @@ def complement(g: ColoredGraph) -> ColoredGraph:
     if not missing:
         return ColoredGraph(g.n, ())
     return ColoredGraph(g.n, (ColorComponent(label, UNORIENTED, missing),))
-
-
-def remove_color(g: ColoredGraph, label: str) -> ColoredGraph:
-    g.component(label)
-    return ColoredGraph(g.n, tuple(c for c in g.components if c.label != label))
 
 
 def reverse(g: ColoredGraph, label: str) -> ColoredGraph:
@@ -745,28 +740,3 @@ def _iso_search(
     if find_all:
         return found
     return found[0] if hit else None
-
-
-def canonical_form(g: ColoredGraph) -> tuple:
-    """Hashable form equal across isomorphic graphs (values excluded).
-
-    Minimizes the component encodings over all vertex permutations, so it
-    is exponential in n; guarded to the small sizes used here.
-    """
-    if g.n > 10:
-        raise GraphError("canonical form is limited to 10 vertices")
-    best: tuple | None = None
-    comps = sorted(g.components, key=_component_signature)
-    for perm in itertools.permutations(range(g.n)):
-        enc = []
-        for c in comps:
-            if c.kind == UNORIENTED:
-                mapped = tuple(sorted(_norm_edge(perm[i], perm[j]) for i, j in c.pairs))
-            else:
-                mapped = tuple(sorted((perm[i], perm[j]) for i, j in c.pairs))
-            enc.append((c.kind, mapped))
-        enc_t = (g.n, tuple(sorted(enc)))
-        if best is None or enc_t < best:
-            best = enc_t
-    assert best is not None
-    return best

@@ -268,9 +268,3 @@ class EchelonBasis:
         if not all(c.is_zero() for c in self.reduce(v)):
             return None
         return coords
-
-
-def echelon_insert(basis: EchelonBasis, vec: Sequence[GaussianRational]) -> tuple[EchelonBasis, bool]:
-    """Insert a vector, returning the (mutated) basis and whether it grew."""
-    inserted = basis.insert(vec)
-    return basis, inserted

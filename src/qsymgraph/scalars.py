@@ -120,10 +120,6 @@ def format_fraction(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_fraction(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def format_gaussian(z: GaussianRational) -> str:
     """Render as ``p/q`` when rational, otherwise ``p/q+r/s*i``."""
     if z.im == 0:

@@ -150,15 +150,6 @@ def test_enumerate_classify_shows_trails(capsys):
     assert "screen:" in out
 
 
-def test_threads_env_validation(monkeypatch, capsys):
-    monkeypatch.setenv("QSYMGRAPH_THREADS", "zero")
-    assert main(["series", "tl", "4"]) == 2
-    assert "QSYMGRAPH_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("QSYMGRAPH_THREADS", "2")
-    assert main(["series", "tl", "4"]) == 0
-    capsys.readouterr()
-
-
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])

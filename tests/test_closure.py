@@ -43,12 +43,20 @@ def relabeled(g, perm):
     return ColoredGraph(g.n, tuple(comps))
 
 
-def test_modulus_primes_are_prime_and_split_free():
+def graph_from_lines(n, lines):
+    return parse_graph(f"vertices {n}\n" + "\n".join(lines) + "\n")
+
+
+# An oriented 4-cycle with its two diagonals as an unoriented color.
+DIAGONAL_SQUARE = graph_from_lines(
+    4, ["arc a 0 1", "arc a 1 2", "arc a 2 3", "arc a 3 0", "edge d 0 2", "edge d 1 3"]
+)
+
+
+def test_modulus_primes_are_prime():
     for p in (int(q) for q in _PRIMES):
         assert p > 2
         assert all(p % d for d in range(2, int(p**0.5) + 1))
-        # -1 must be a non-square so Gaussian integers stay a field mod p.
-        assert p % 4 == 3
 
 
 def test_point_set_towers():
@@ -67,12 +75,44 @@ def test_point_set_towers():
         (n_gon(5), 2),
         (multi_simplex(2, 2), 2),
         (oriented_n_gon(4), 2),
+        (DIAGONAL_SQUARE, 2),
     ],
-    ids=["edgeless3", "triangle", "oriented3", "square", "pentagon", "ms22", "oriented4"],
+    ids=[
+        "edgeless3", "triangle", "oriented3", "square", "pentagon", "ms22", "oriented4",
+        "diagonal_square",
+    ],
 )
 def test_fast_engine_matches_exact_reference(g, level):
     # The reference engine is exponential, so levels shrink as n grows.
     assert dims_of(g, level) == reference_closure(g, level)
+
+
+@pytest.mark.parametrize(
+    "g,expected",
+    [
+        (DIAGONAL_SQUARE, [1, 1, 4, 16]),
+        (
+            graph_from_lines(
+                6,
+                ["arc a 0 1", "arc a 1 2", "arc a 2 0", "edge b 3 4", "edge b 4 5", "edge b 3 5"],
+            ),
+            [1, 2, 7, 29],
+        ),
+        (
+            graph_from_lines(
+                5,
+                [f"arc a {i} {(i + 1) % 5}" for i in range(5)]
+                + [f"arc b {i} {(i + 2) % 5}" for i in range(5)],
+            ),
+            [1, 1, 5, 25],
+        ),
+    ],
+    ids=["diagonal_square", "oriented_triangle_plus_triangle", "pentagon_and_pentagram"],
+)
+def test_mixed_colors_level_three(g, expected):
+    # Values computed with the imaginary box i(A - A^T) as the seed of
+    # each oriented color; the arc-matrix seeds must reproduce them.
+    assert dims_of(g, 3) == expected
 
 
 def test_letter_modes_agree():
