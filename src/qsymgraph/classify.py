@@ -10,8 +10,8 @@ Each rule leaves a line in the provenance trail whether it fired or not.
 The module also hosts the small-graph enumeration: all regular graphs up
 to isomorphism on at most nine vertices, the vertex-transitive ones among
 them closed under complementation, each classified. Deduplication uses
-the minimal adjacency encoding over all vertex permutations, vectorized
-because the permutation count is the whole cost.
+the least adjacency bit string over all vertex relabelings, found by an
+individualization-refinement search with twin pruning.
 """
 from __future__ import annotations
 
@@ -178,23 +178,64 @@ def _graph_from_adjacency(adj: np.ndarray) -> ColoredGraph:
 
 
 # ---------------------------------------------------------------------------
-# Canonical forms over all permutations, vectorized for the enumeration.
-
-
-@lru_cache(maxsize=None)
-def _perm_table(n: int) -> np.ndarray:
-    return np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+# Canonical forms: the least adjacency bit string over all relabelings.
 
 
 def _canonical_adjacency(adj: np.ndarray) -> tuple[bytes, np.ndarray]:
-    """Minimal bit encoding over relabelings, plus the witnessing matrix."""
+    """Least packed row-major bit string of a symmetric, loopless adj over
+    all relabelings, plus the relabeled matrix that spells it.
+
+    The search fills positions 0..n-1 in order. A state is the vertices
+    placed so far and an ordered partition of the others into cells. At
+    position t, each vertex v of the first cell is tried: v is placed and
+    every cell is split into its non-neighbours of v, then its neighbours.
+    That fixes row t of the relabeled matrix: its bits at placed
+    positions are v's adjacencies, and each cell gives its zeros before
+    its ones, the least arrangement of that cell's bits. Only the states
+    whose row t ties the least row t go on to position t + 1. All of
+    them share rows 0..t-1, and the cell order is exactly what keeps
+    those rows least, so minimising row by row is lexicographic order on
+    the whole string: the search is exact, and every surviving leaf
+    spells the same string.
+
+    Twin rule: candidate v is skipped when a candidate u already tried in
+    the same cell has N(u) - {v} = N(v) - {u}. The transposition (u v) is
+    then an automorphism that fixes every placed vertex and every cell,
+    so it maps u's subtree onto v's, string for string.
+    """
     n = adj.shape[0]
-    perms = _perm_table(n)
-    relabeled = adj[perms[:, :, None], perms[:, None, :]]
-    packed = np.packbits(relabeled.reshape(len(perms), n * n), axis=1)
-    keys = tuple(packed[:, c] for c in range(packed.shape[1] - 1, -1, -1))
-    best = int(np.lexsort(keys)[0])
-    return packed[best].tobytes(), relabeled[best]
+    # Vertex sets are int bitmasks: bit j of nbr[v] is set when v ~ j.
+    nbr = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in adj]
+    states = [((), [(1 << n) - 1])]
+    for _ in range(n):
+        least = None
+        survivors = []
+        for placed, cells in states:
+            first = cells[0]
+            tried: list[int] = []
+            for v in range(n):
+                nv = nbr[v]
+                if not (first >> v) & 1 or any(
+                    (nbr[u] & ~(1 << v)) == (nv & ~(1 << u)) for u in tried
+                ):
+                    continue
+                tried.append(v)
+                row = 0
+                for p in (*placed, v):
+                    row = (row << 1) | ((nv >> p) & 1)
+                split = []
+                for cell in (first & ~(1 << v), *cells[1:]):
+                    ones = cell & nv
+                    row = (row << cell.bit_count()) | ((1 << ones.bit_count()) - 1)
+                    split += [part for part in (cell & ~nv, ones) if part]
+                if least is None or row < least:
+                    least, survivors = row, []
+                if row == least:
+                    survivors.append(((*placed, v), split))
+        states = survivors
+    perm = list(states[0][0])
+    canon = adj[np.ix_(perm, perm)]
+    return np.packbits(canon.reshape(-1)).tobytes(), canon
 
 
 def canonical_key(g: ColoredGraph) -> bytes:

@@ -93,6 +93,10 @@ def _graph_dict(g: ColoredGraph) -> dict:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    for flag, value in (("--max-level", args.max_level), ("--buffer", args.buffer)):
+        if value < 0:
+            print(f"error: {flag} must be >= 0", file=sys.stderr)
+            return 2
     try:
         text = Path(args.file).read_text()
     except OSError as exc:
@@ -325,6 +329,9 @@ def cmd_series(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if not 1 <= args.max_vertices <= 9:
         print("error: --max-vertices must be between 1 and 9", file=sys.stderr)
+        return 2
+    if args.max_level < 0:
+        print("error: --max-level must be >= 0", file=sys.stderr)
         return 2
     cfg = ClosureConfig(max_level=args.max_level)
     report = enumerate_homogeneous(args.max_vertices, cfg)

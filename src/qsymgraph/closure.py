@@ -465,6 +465,8 @@ def closure(g: ColoredGraph, config: ClosureConfig) -> ClosureResult:
     """
     if config.max_level < 0:
         raise ValueError("max_level must be >= 0")
+    if config.buffer < 0:
+        raise ValueError("buffer must be >= 0")
     top = max(2, config.max_level + config.buffer)
     engine = _Engine(g, top, config.letter_mode, config.size_limit)
     engine.run(g)

@@ -105,13 +105,16 @@ def discrete_torus():
     return parse_graph(text)
 
 
+CENSUS_SIZES_TO_EIGHT = {1: 1, 2: 2, 3: 2, 4: 4, 5: 3, 6: 8, 7: 4, 8: 14}
+
+
 def test_criterion_01_transitive_census():
     with criterion(1, "census of transitive graphs to eight vertices", 300.0):
         report = enumerate_homogeneous(8)
         assert report.total == 38
 
         sizes = {n: len(rows) for n, rows in report.per_n().items()}
-        assert sizes == {1: 1, 2: 2, 3: 2, 4: 4, 5: 3, 6: 8, 7: 4, 8: 14}
+        assert sizes == CENSUS_SIZES_TO_EIGHT
 
         keys = {canonical_key(e.graph) for e in report.entries}
         assert len(keys) == 38
@@ -336,3 +339,16 @@ def test_criterion_10_property_suites():
             assert DihedralSeries(n).radius() == Fraction(1, n)
             assert CyclicGroupSeries(n).radius() == Fraction(1, n)
         assert CubeSeries().radius() == Fraction(1, 8)
+
+
+def test_criterion_11_transitive_census_to_nine_vertices():
+    with criterion(11, "census of transitive graphs to nine vertices", 120.0):
+        report = enumerate_homogeneous(9, ClosureConfig(max_level=3))
+        sizes = {n: len(rows) for n, rows in report.per_n().items()}
+        # OEIS A006799 gives 9 vertex-transitive graphs on nine vertices.
+        assert sizes == {**CENSUS_SIZES_TO_EIGHT, 9: 9}
+
+        keys = {canonical_key(e.graph) for e in report.entries}
+        assert len(keys) == report.total == 47
+        for e in report.entries:
+            assert canonical_key(complement(e.graph)) in keys

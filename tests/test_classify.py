@@ -1,11 +1,17 @@
 """Recognition pipeline: circulant criterion, tensor splitting, towers."""
 from __future__ import annotations
 
+import itertools
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qsymgraph.classify import (
+    _canonical_adjacency,
+    _plain_adjacency,
+    _regular_completions,
     canonical_key,
     check_landau_relations,
     classify,
@@ -337,3 +343,87 @@ def test_regular_reps_small_counts():
     for g in regular_graph_reps(6):
         degrees = {sum(1 for c in g.components for p in c.pairs if v in p) for v in range(6)}
         assert len(degrees) == 1
+
+
+# -- canonical labeling -------------------------------------------------------
+
+
+def brute_force_canonical(adj):
+    """Reference labeler: the least packed row-major bit string over all
+    n! relabelings, with the first relabeled matrix that spells it."""
+    n = adj.shape[0]
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    relabeled = adj[perms[:, :, None], perms[:, None, :]]
+    packed = np.packbits(relabeled.reshape(len(perms), n * n), axis=1)
+    best = int(np.lexsort(packed.T[::-1])[0])
+    return packed[best].tobytes(), relabeled[best]
+
+
+def oracle_inputs():
+    for n in range(1, 8):
+        for k in range(n):
+            for adj in _regular_completions(n, k):
+                yield adj
+                yield ~(adj | np.eye(n, dtype=bool))
+    rng = random.Random(2024)
+    for n in range(1, 8):
+        for density in (0.0, 0.25, 0.5, 0.75, 1.0) * 2:
+            upper = np.triu(np.array(
+                [[rng.random() < density for _ in range(n)] for _ in range(n)]
+            ), 1)
+            yield upper | upper.T
+    k44 = complement(disjoint_copies(2, complete(4)))
+    for g in (cube(), n_gon(8), disjoint_copies(4, complete(2)),
+              disjoint_copies(2, complete(4)), k44):
+        yield _plain_adjacency(g)
+
+
+def test_canonical_adjacency_matches_brute_force():
+    for adj in oracle_inputs():
+        key, canon = _canonical_adjacency(adj)
+        want_key, want_canon = brute_force_canonical(adj)
+        assert key == want_key
+        assert canon.dtype == want_canon.dtype
+        assert np.array_equal(canon, want_canon)
+
+
+def test_canonical_key_properties_up_to_nine_vertices():
+    hypothesis = pytest.importorskip("hypothesis")
+    nx = pytest.importorskip("networkx")
+    st = hypothesis.strategies
+
+    def plain(n, edges):
+        text = f"vertices {n}\n" + "".join(f"edge c {i} {j}\n" for i, j in edges)
+        return parse_graph(text)
+
+    @st.composite
+    def pairs(draw):
+        """A graph, a relabeling of it, and possibly one edge moved."""
+        n = draw(st.integers(1, 9))
+        slots = list(itertools.combinations(range(n), 2))
+        edges = [e for e in slots if draw(st.booleans())]
+        perm = draw(st.permutations(range(n)))
+        relabeled = [tuple(sorted((perm[i], perm[j]))) for i, j in edges]
+        moved = list(relabeled)
+        gaps = [e for e in slots if e not in moved]
+        if moved and gaps and draw(st.booleans()):
+            moved.remove(draw(st.sampled_from(moved)))
+            moved.append(draw(st.sampled_from(gaps)))
+        return n, edges, relabeled, moved
+
+    def nx_graph(n, edges):
+        out = nx.Graph()
+        out.add_nodes_from(range(n))
+        out.add_edges_from(edges)
+        return out
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(pairs())
+    def check(case):
+        n, edges, relabeled, moved = case
+        key = canonical_key(plain(n, edges))
+        assert canonical_key(plain(n, relabeled)) == key
+        isomorphic = nx.is_isomorphic(nx_graph(n, edges), nx_graph(n, moved))
+        assert (canonical_key(plain(n, moved)) == key) == isomorphic
+
+    check()

@@ -77,6 +77,16 @@ def test_analyze_resource_cap_partial_report(pentagon_file, capsys):
     assert "warning" in out
 
 
+@pytest.mark.parametrize(
+    "flags", [["--max-level", "-1"], ["--buffer", "-3"], ["--buffer", "-3", "--json"]]
+)
+def test_analyze_negative_levels_are_usage_errors(pentagon_file, flags, capsys):
+    assert main(["analyze", pentagon_file, *flags]) == 2
+    captured = capsys.readouterr()
+    assert "must be >= 0" in captured.err
+    assert captured.out == ""
+
+
 def test_series_closed_forms(capsys):
     assert main(["series", "fc", "2", "--terms", "4"]) == 0
     out = capsys.readouterr().out
@@ -130,6 +140,8 @@ def test_enumerate_single_vertex(capsys):
 def test_enumerate_range_guard(capsys):
     assert main(["enumerate", "--max-vertices", "12"]) == 2
     assert "between 1 and 9" in capsys.readouterr().err
+    assert main(["enumerate", "--max-vertices", "1", "--max-level", "-1"]) == 2
+    assert "must be >= 0" in capsys.readouterr().err
 
 
 def test_enumerate_json_round_trip(capsys):

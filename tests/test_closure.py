@@ -176,6 +176,8 @@ def test_size_cap_refusal():
         closure(n_gon(5), ClosureConfig(max_level=3, size_limit=100))
     with pytest.raises(ValueError):
         closure(n_gon(5), ClosureConfig(max_level=-1))
+    with pytest.raises(ValueError):
+        closure(n_gon(5), ClosureConfig(max_level=4, buffer=-2))
 
 
 def test_c1_bound_splits_mixed_union():
