@@ -116,18 +116,7 @@ def _union_adjacency(g: ColoredGraph) -> list[set[int]]:
 
 
 def _is_connected(g: ColoredGraph) -> bool:
-    if g.n == 0:
-        return True
-    nbrs = _union_adjacency(g)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        v = frontier.pop()
-        for w in nbrs[v]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return len(seen) == g.n
+    return len(_connected_pieces(g)) <= 1
 
 
 def _is_regular(g: ColoredGraph) -> bool:
@@ -919,10 +908,16 @@ def classify(g: ColoredGraph, cfg: ClosureConfig | None = None) -> Classificatio
         and work.n >= 4
     ):
         hit: ProductVerdict | None = None
+        skipped: list[str] = []
         for n1 in range(2, int(math.isqrt(work.n)) + 1):
             if work.n % n1 != 0:
                 continue
             n2 = work.n // n1
+            # n1 <= n2, and factor candidates come from regular_graph_reps,
+            # which stops at 9 vertices.
+            if n2 > 9:
+                skipped.append(f"{n1} x {n2}")
+                continue
             for y in product_factor_candidates(n1):
                 for z in product_factor_candidates(n2):
                     verdict = product_test(work, y, z, cfg)
@@ -939,7 +934,13 @@ def classify(g: ColoredGraph, cfg: ClosureConfig | None = None) -> Classificatio
                 hit.classification,
                 trail=tuple(trail) + hit.classification.trail,
             )
-        trail.append("product: no admissible splitting")
+        if skipped:
+            trail.append(
+                "product: no admissible splitting into factors on at most 9 "
+                f"vertices; not tried: {', '.join(skipped)}"
+            )
+        else:
+            trail.append("product: no admissible splitting")
     else:
         trail.append("product: not attempted")
 

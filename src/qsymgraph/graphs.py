@@ -612,49 +612,21 @@ def _component_signature(c: ColorComponent) -> tuple[str, int]:
     return (c.kind, len(c.pairs))
 
 
-def _match_components(
-    g: ColoredGraph, h: ColoredGraph
-) -> list[tuple[ColorComponent, ColorComponent]] | None:
-    if g.n != h.n or len(g.components) != len(h.components):
-        return None
-    gs = sorted(g.components, key=_component_signature)
-    hs = sorted(h.components, key=_component_signature)
-    if [_component_signature(c) for c in gs] != [_component_signature(c) for c in hs]:
-        return None
-    return list(zip(gs, hs))
-
-
 def is_isomorphic(g: ColoredGraph, h: ColoredGraph) -> bool:
     """Vertex bijection carrying each color class of g onto one of h.
 
     Components are matched by (kind, size); for graphs with several
-    same-shape components all assignments are tried.
+    same-shape components every matching is tried.
     """
-    if g.n != h.n:
+    if g.n != h.n or len(g.components) != len(h.components):
         return False
-    base = _match_components(g, h)
-    if base is None:
+    gs = sorted(g.components, key=_component_signature)
+    hs = sorted(h.components, key=_component_signature)
+    if [_component_signature(c) for c in gs] != [_component_signature(c) for c in hs]:
         return False
-    gs = [c for c, _ in base]
-    sigs = [_component_signature(c) for c in gs]
-    hs_all = sorted(h.components, key=_component_signature)
-    # Group positions with identical signatures; try every pairing.
-    groups: dict[tuple[str, int], list[int]] = {}
-    for idx, s in enumerate(sigs):
-        groups.setdefault(s, []).append(idx)
-    candidate_orders: list[list[ColorComponent]] = [[None] * len(gs)]  # type: ignore[list-item]
-    for s, positions in groups.items():
-        pool = [c for c in hs_all if _component_signature(c) == s]
-        new_orders = []
-        for order in candidate_orders:
-            for perm in itertools.permutations(pool):
-                trial = list(order)
-                for pos, comp in zip(positions, perm):
-                    trial[pos] = comp
-                new_orders.append(trial)
-        candidate_orders = new_orders
-    for hs in candidate_orders:
-        if _iso_search(g.n, gs, hs) is not None:
+    blocks = [list(b) for _, b in itertools.groupby(hs, key=_component_signature)]
+    for choice in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        if _iso_search(g.n, gs, [c for block in choice for c in block]) is not None:
             return True
     return False
 
@@ -679,10 +651,9 @@ def _iso_search(
     n: int,
     gs: Sequence[ColorComponent],
     hs: Sequence[ColorComponent],
-    find_all: bool = False,
     pins: Sequence[tuple[int, int]] = (),
-) -> tuple[int, ...] | list[tuple[int, ...]] | None:
-    """Backtracking search for bijections carrying gs[k] onto hs[k].
+) -> tuple[int, ...] | None:
+    """Backtracking search for a bijection carrying gs[k] onto hs[k].
 
     Each (v, w) in pins forces v to map to w; pinned vertices are placed
     first, so contradictions among the pins die at the root.
@@ -696,7 +667,7 @@ def _iso_search(
     g_sig = [signature(v, gs) for v in range(n)]
     h_sig = [signature(v, hs) for v in range(n)]
     if sorted(g_sig) != sorted(h_sig):
-        return [] if find_all else None
+        return None
     candidates = [
         [w for w in range(n) if h_sig[w] == g_sig[v]] for v in range(n)
     ]
@@ -705,7 +676,6 @@ def _iso_search(
     order = sorted(range(n), key=lambda v: (len(candidates[v]), v))
     image = [-1] * n
     used = [False] * n
-    found: list[tuple[int, ...]] = []
 
     def consistent(v: int, w: int, depth: int) -> bool:
         for k, rel in enumerate(g_rel):
@@ -720,8 +690,7 @@ def _iso_search(
 
     def rec(depth: int) -> bool:
         if depth == n:
-            found.append(tuple(image))
-            return not find_all
+            return True
         v = order[depth]
         for w in candidates[v]:
             if used[w]:
@@ -736,7 +705,4 @@ def _iso_search(
             used[w] = False
         return False
 
-    hit = rec(0)
-    if find_all:
-        return found
-    return found[0] if hit else None
+    return tuple(image) if rec(0) else None

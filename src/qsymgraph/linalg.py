@@ -222,9 +222,6 @@ class EchelonBasis:
         self.vectors = []
         self.pivots = []
 
-    def __len__(self) -> int:
-        return len(self.vectors)
-
     @property
     def rank(self) -> int:
         return len(self.vectors)

@@ -40,12 +40,6 @@ class SpinTensor:
         return SpinTensor(n, 0, {(): GR_ONE})
 
     @staticmethod
-    def all_ones(n: int, level: int) -> "SpinTensor":
-        return SpinTensor(
-            n, level, {t: GR_ONE for t in itertools.product(range(n), repeat=level)}
-        )
-
-    @staticmethod
     def identity(n: int, level: int) -> "SpinTensor":
         """Unit of level-m multiplication: mirror-symmetric pairing."""
         half = level // 2

@@ -1,18 +1,26 @@
 """Ordinary automorphism groups of colored graphs and their fixed-point data.
 
-Permutations are tuples p of length n with p[i] = image of i. The group
-object keeps the full element list (the graphs here are small) plus a
-greedy generating set.
+Permutations are tuples p of length n with p[i] = image of i. A group is
+kept as its stabilizer chain along the point sequence 0, 1, ..., n-1:
+transversal i holds one element for each image of i under the pointwise
+stabilizer of 0, ..., i-1, the identity first. Every element factors
+uniquely as t_0 ∘ t_1 ∘ ... ∘ t_(n-1) with t_i from transversal i, so the
+chain gives the order as a product of transversal sizes, a generating
+set, and, on demand, the element table (Seress, Permutation Group
+Algorithms, ch. 4).
 """
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .graphs import ColoredGraph, ColorComponent, _iso_search
+import numpy as np
+
+from .graphs import ColoredGraph, _iso_search
 from .linalg import ExactMatrix
+from .series import RationalSum
 
 Permutation = tuple[int, ...]
 
@@ -32,53 +40,44 @@ def inverse(p: Permutation) -> Permutation:
 
 
 class PermutationGroup:
-    """Generators plus the exact order; the element list is materialized
-    only on demand because it can dwarf the generating data."""
+    """A group given by its stabilizer chain; transversals[i] starts with
+    the identity, and each later entry fixes 0, ..., i-1 and moves i.
 
-    def __init__(self, n: int, generators: tuple[Permutation, ...], order: int):
+    The element table is built only on demand because it can dwarf the
+    chain."""
+
+    def __init__(self, n: int, transversals: tuple[tuple[Permutation, ...], ...]):
         self.n = n
-        self.generators = generators
-        self.order = order
+        self.transversals = transversals
+        self.order = math.prod(len(t) for t in transversals)
+        # The non-identity transversal elements, stage by stage.
+        self.generators = tuple(p for t in transversals for p in t[1:])
 
     @cached_property
-    def elements(self) -> tuple[Permutation, ...]:
+    def table(self) -> np.ndarray:
+        """Every element once, as the rows of an order x n array.
+
+        Built by the unique factorization: starting from the identity row,
+        each stage from the last to the first replaces the rows h by the
+        rows t ∘ h = t[h] for every t in its transversal.
+        """
         if self.order > _ELEMENT_CAP:
             raise ValueError(
                 f"group of order {self.order} is too large to enumerate"
             )
-        return tuple(sorted(_close(self.n, list(self.generators))))
+        dtype = np.min_scalar_type(self.n)
+        table = np.arange(self.n, dtype=dtype)[None, :]
+        for stage in reversed(self.transversals):
+            table = np.asarray(stage, dtype=dtype)[:, table].reshape(-1, self.n)
+        return table
 
-    def __contains__(self, p: Permutation) -> bool:
-        return p in set(self.elements)
-
-    def orbit(self, v: int) -> set[int]:
-        seen = {v}
-        frontier = [v]
-        while frontier:
-            x = frontier.pop()
-            for gen in self.generators:
-                y = gen[x]
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return seen
+    @cached_property
+    def elements(self) -> tuple[Permutation, ...]:
+        return tuple(sorted(map(tuple, self.table.tolist())))
 
     def is_transitive(self) -> bool:
-        return len(self.orbit(0)) == self.n
-
-
-def _close(n: int, gens: list[Permutation]) -> set[Permutation]:
-    identity = tuple(range(n))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        p = frontier.pop()
-        for g in gens:
-            q = compose(g, p)
-            if q not in seen:
-                seen.add(q)
-                frontier.append(q)
-    return seen
+        """Stage 0 is the orbit of vertex 0."""
+        return len(self.transversals[0]) == self.n
 
 
 def automorphism_group(g: ColoredGraph) -> PermutationGroup:
@@ -86,54 +85,40 @@ def automorphism_group(g: ColoredGraph) -> PermutationGroup:
     (arcs with their orientation).
 
     Works down the stabilizer chain of the point sequence 0, 1, ..., n-1:
-    at stage i one pinned search per candidate image finds a coset
-    representative moving i while fixing everything earlier. The
-    representatives found across all stages generate the group, and the
-    orbit sizes multiply to its exact order.
+    at stage i one pinned search per candidate image w of i finds an
+    element sending i to w while fixing everything earlier, if one exists.
+    The hits, in order of w, make up transversal i.
     """
     comps = list(g.components)
     identity = tuple(range(g.n))
-    gens: list[Permutation] = []
-    order = 1
+    transversals = []
     for i in range(g.n):
         pins = [(v, v) for v in range(i)]
-        orbit_size = 1
+        stage = [identity]
         for w in range(g.n):
             if w == i:
                 continue
             hit = _iso_search(g.n, comps, comps, pins=pins + [(i, w)])
             if hit is not None:
-                orbit_size += 1
-                if hit not in gens and hit != identity:
-                    gens.append(hit)
-        order *= orbit_size
-    return PermutationGroup(g.n, tuple(gens), order)
+                stage.append(hit)
+        transversals.append(tuple(stage))
+    return PermutationGroup(g.n, tuple(transversals))
 
 
 def fixed_point_histogram(group: PermutationGroup) -> dict[int, int]:
     """How many elements fix exactly m vertices, for each occurring m."""
-    hist: dict[int, int] = {}
-    for p in group.elements:
-        m = sum(1 for i, img in enumerate(p) if i == img)
-        hist[m] = hist.get(m, 0) + 1
-    return hist
-
-
-def fixed_point_counts(group: PermutationGroup) -> list[int]:
-    return [sum(1 for i, img in enumerate(p) if i == img) for p in group.elements]
+    counts = np.bincount((group.table == np.arange(group.n)).sum(axis=1))
+    return {m: c for m, c in enumerate(counts.tolist()) if c}
 
 
 def classical_series_coefficient(group: PermutationGroup, k: int) -> Fraction:
     """Average of (number of fixed vertices)^k over the group; for k = 0
     this is 1 (empty product), matching the convention c_0 = 1."""
-    total = sum(
-        Fraction(m) ** k if k > 0 else Fraction(1) for m in fixed_point_counts(group)
-    )
-    return total / group.order
+    return RationalSum.from_histogram(fixed_point_histogram(group)).coefficient(k)
 
 
 def classical_series_prefix(group: PermutationGroup, count: int) -> list[Fraction]:
-    return [classical_series_coefficient(group, k) for k in range(count)]
+    return RationalSum.from_histogram(fixed_point_histogram(group)).prefix(count)
 
 
 @dataclass(frozen=True)

@@ -302,6 +302,18 @@ def test_classify_wheel_is_dihedral():
     assert c.series_prefix(5) == [1, 1, 5, 34, 260]
 
 
+def test_classify_twenty_vertices_skips_factors_over_nine():
+    # 20 = 2 x 10 = 4 x 5; factor candidates stop at 9 vertices, so only
+    # 4 x 5 is tried, and the trail names the splitting left out.
+    c = classify(tensor_product(n_gon(5), complete(4)), ClosureConfig(max_level=2))
+    assert c.kind == "unknown"
+    assert c.prefix == (1, 1, 6)
+    assert (
+        "product: no admissible splitting into factors on at most 9 vertices; "
+        "not tried: 2 x 10"
+    ) in c.trail
+
+
 # -- enumeration --------------------------------------------------------------
 
 

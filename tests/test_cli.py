@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from qsymgraph.cli import main
-from qsymgraph.graphs import n_gon, write_graph
+from qsymgraph.graphs import complete, n_gon, tensor_product, write_graph
 
 
 @pytest.fixture
@@ -67,6 +67,17 @@ def test_analyze_empty_file(tmp_path, capsys):
     path = tmp_path / "empty.graph"
     path.write_text("")
     assert main(["analyze", str(path)]) == 2
+
+
+def test_analyze_twenty_vertices(tmp_path, capsys):
+    path = tmp_path / "c5k4.graph"
+    path.write_text(write_graph(tensor_product(n_gon(5), complete(4))))
+    argv = ["analyze", str(path), "--no-closure", "--max-level", "2", "--json"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["automorphisms"]["order"] == 240
+    assert doc["classification"]["kind"] == "unknown"
+    assert any("not tried: 2 x 10" in line for line in doc["classification"]["trail"])
 
 
 def test_analyze_resource_cap_partial_report(pentagon_file, capsys):

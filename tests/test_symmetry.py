@@ -2,12 +2,18 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qsymgraph.graphs import (
+    ORIENTED,
+    UNORIENTED,
+    ColorComponent,
     ColoredGraph,
     complete,
     cube,
@@ -118,6 +124,55 @@ def test_transitivity():
 def test_pentagon_fixed_point_histogram():
     hist = fixed_point_histogram(automorphism_group(n_gon(5)))
     assert hist == {0: 4, 1: 5, 5: 1}
+
+
+def test_symmetric_group_histogram_is_rencontres():
+    """S9 has C(9, m) * D(9 - m) elements fixing exactly m points, where
+    D counts derangements."""
+    derangements = [1, 0]
+    for k in range(2, 10):
+        derangements.append((k - 1) * (derangements[-1] + derangements[-2]))
+    want = {m: math.comb(9, m) * derangements[9 - m] for m in range(10)}
+    hist = fixed_point_histogram(automorphism_group(edgeless(9)))
+    assert hist == {m: c for m, c in want.items() if c}
+
+
+def test_group_matches_brute_force_on_generated_graphs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def colored_graphs(draw):
+        """n <= 6 vertices, 1-3 colors, each color edges or arcs; every
+        pair gets at most one color."""
+        n = draw(st.integers(1, 6))
+        oriented = draw(st.lists(st.booleans(), min_size=1, max_size=3))
+        pairs: list[set[tuple[int, int]]] = [set() for _ in oriented]
+        for i, j in itertools.combinations(range(n), 2):
+            k = draw(st.integers(0, len(oriented)))
+            if k:
+                flip = oriented[k - 1] and draw(st.booleans())
+                pairs[k - 1].add((j, i) if flip else (i, j))
+        comps = tuple(
+            ColorComponent(f"c{k}", ORIENTED if o else UNORIENTED, frozenset(p))
+            for k, (o, p) in enumerate(zip(oriented, pairs))
+        )
+        return ColoredGraph(n, comps)
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(colored_graphs())
+    def check(g):
+        group = automorphism_group(g)
+        brute = _brute_force_automorphisms(g)
+        assert group.order == len(brute)
+        assert set(group.elements) == brute
+        assert len(np.unique(group.table, axis=0)) == group.order
+        fixed = Counter(sum(p[i] == i for i in range(g.n)) for p in brute)
+        assert fixed_point_histogram(group) == dict(fixed)
+        orbit = {p[0] for p in brute}
+        assert group.is_transitive() == (len(orbit) == g.n)
+
+    check()
 
 
 def _orbit_count(group, k: int) -> int:
