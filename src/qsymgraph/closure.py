@@ -6,15 +6,45 @@ ordinary automorphism group: every generated tensor is invariant under
 it, every structural operation commutes with it, and dimensions are
 unchanged.
 
-Rank decisions use reduced row echelon arithmetic modulo two fixed
-31-bit primes, kept in lockstep. A family of vectors independent modulo
-a prime is independent over the rationals, so every reported dimension
-is a certified lower bound on the exact one; a vector judged dependent
-would have to vanish modulo both primes at once to be misjudged, and
-any disagreement between the two reductions raises ModularMismatchError
+Rank decisions use reduced row echelon arithmetic modulo two fixed primes
+below 2^21, kept in lockstep. A family of vectors independent modulo a
+prime is independent over the rationals, so every reported dimension is
+a certified lower bound on the exact one; a vector judged dependent
+would have to vanish modulo both primes at once to be misjudged, and any
+disagreement between the two reductions raises ModularMismatchError
 instead of continuing. The test suite pins the dimensions of the worked
 examples against closed forms and against the all-rational reference
 operations in spinplanar, which use no modular arithmetic at all.
+
+Residues are stored as float64 integers in [0, p), so that matrix
+products run through BLAS. A product of two residues is below (p-1)^2 <
+2^42, and a float64 holds every integer below 2^53 exactly; a sum of at
+most _CHUNK such products added to a residue therefore stays exact. Every
+product-sum with a longer inner dimension (basis reductions, letter
+products) is split into chunks of at most _CHUNK terms and reduced
+modulo p after each chunk.
+
+Candidates are reduced a block at a time, in the manner of the blocked
+word-size prime-field elimination of Dumas, Giorgi and Pernet (FFLAS and
+FFPACK, ACM TOMS 2008). Each level keeps a FIFO queue; the engine takes
+up to _BLOCK items from the level whose head item is oldest, materialises
+them, reduces the whole block against the basis with one matrix product
+per prime, drops the rows that vanish under both primes, eliminates the
+survivors one by one in block order, and clears the new pivot columns
+from the old rows with one more product.
+
+The processing order cannot change the dimensions. The space computed at
+each level is the smallest family of subspaces that contains the seeds
+and is closed under the structural operations and under multiplication
+by the span of the letters. Every accepted row queues its images under
+every operation and its product with every letter. A queued image is
+taken of the row's value when the item is processed, which differs from
+its value when accepted only by multiples of rows accepted later, whose
+images are queued as well; so once the queues run dry the span of each
+basis is closed, whatever the order. The letter spans do not depend on
+the order either: up to level _LETTER_ALL_MAX every basis row is a
+letter, so the letters span the level, and above it the "words" letters
+are fixed vectors.
 
 Every color is seeded by its real 0/1 arc matrix A, symmetric for an
 edge color and one-way for an oriented one: a magic unitary commutes
@@ -30,20 +60,27 @@ algebra closure. At higher levels the default "words" policy keeps only
 rotated strand-lifts of the graph boxes and the cup-cap elements as
 letters, counting on words in these letters to fill the level; that is
 what makes the larger examples tractable. The "full" policy instead
-promotes every vector produced by a non-multiplicative operation to a
-letter, which is slower but self-contained.
+promotes every row accepted from a non-multiplicative operation to a
+letter, which is slower but self-contained; which rows those are, and so
+its letter span above level _LETTER_ALL_MAX, can depend on the order.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
 from .graphs import ColoredGraph, _component_walk_matrix, total_matrix
 from .scalars import GaussianRational
 
-_PRIMES = np.array([2147483647, 2147483587], dtype=np.int64)
+_PRIMES = np.array([2097143.0, 2097133.0])
+_INVERSES = 1.0 / _PRIMES
+# Products of residues that one float64 sum may add to a residue exactly.
+_CHUNK = min(2**53 // (int(p) - 1) ** 2 for p in _PRIMES) - 1
+_BLOCK = 64  # queue items reduced together
+_ELEMENT_BUDGET = 1 << 20  # float64 elements in one letter-product temporary
 _LETTER_ALL_MAX = 3  # levels up to here treat every basis vector as a letter
 
 
@@ -99,10 +136,49 @@ class _Level:
 # ---------------------------------------------------------------------------
 # Reduced echelon bases modulo the two primes.
 #
-# A vector is stored as an int64 array of shape (2, R), the leading axis
-# being the prime. Rows are kept pivot-normalized to 1 with pivot columns
-# cleared everywhere else, so reducing a vector is a single matrix
-# product rather than a row-by-row sweep.
+# A block of k vectors is a float64 array of shape (2, k, R), the leading
+# axis being the prime, holding residues in [0, p) for the primes
+# 2097143 and 2097133, both below 2^21. Any sum of _CHUNK products of two
+# residues, added to a residue, stays below 2^53 and so is computed
+# exactly in float64; products with a longer inner dimension are summed
+# _CHUNK terms at a time and reduced in between (_matmul_mod).
+#
+# Basis rows are kept pivot-normalized to 1 with pivot columns cleared
+# everywhere else (reduced row echelon form). Inserting a block then
+# takes three steps: one matrix product per prime reduces every row of
+# the block against the basis (with C the block's entries in the pivot
+# columns, block - C @ rows vanishes there); the rows that vanish under
+# both primes are dropped and the rest are eliminated one by one in block
+# order, each checked for a lead mismatch between the primes just as a
+# lone vector would be; and one more product clears the new pivot columns
+# from the old rows before the new rows are appended.
+
+
+def _mod(x: np.ndarray) -> np.ndarray:
+    """Reduce a stack of integers below 2^53 in magnitude, the leading axis
+    being the prime, into [0, p) in place.
+
+    The quotient x * (1/p) is off by less than 2^-20, so its floor is off
+    by at most one and a single correction either way finishes the job;
+    this is several times faster than np.remainder on floats.
+    """
+    shape = (2,) + (1,) * (x.ndim - 1)
+    p = _PRIMES.reshape(shape)
+    q = np.floor(x * _INVERSES.reshape(shape))
+    q *= p
+    x -= q
+    np.add(x, p, out=x, where=x < 0)
+    np.subtract(x, p, out=x, where=x >= p)
+    return x
+
+
+def _matmul_mod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b modulo each prime, for stacks a (2, k, r) and b (2, r, c)."""
+    out = np.zeros((2, a.shape[1], b.shape[2]))
+    for s in range(0, a.shape[2], _CHUNK):
+        out += a[:, :, s : s + _CHUNK] @ b[:, s : s + _CHUNK]
+        _mod(out)
+    return out
 
 
 def _lead(row: np.ndarray) -> int:
@@ -111,68 +187,121 @@ def _lead(row: np.ndarray) -> int:
 
 
 class _ModBasis:
-    __slots__ = ("width", "rank", "pivcols", "piv_arr", "rows")
+    __slots__ = ("width", "rank", "pivcols", "pivotal", "rows")
 
     def __init__(self, width: int):
         self.width = width
         self.rank = 0
-        self.pivcols: list[int] = []
-        self.piv_arr = np.empty(0, dtype=np.int64)
-        self.rows = np.zeros((2, 4, width), dtype=np.int64)
+        self.pivcols = np.empty(0, dtype=np.intp)
+        self.pivotal = np.zeros(width, dtype=bool)
+        self.rows = np.zeros((2, 4, width))
 
     @property
     def saturated(self) -> bool:
         return self.rank >= self.width
 
-    def _grow(self) -> None:
-        if self.rank < self.rows.shape[1]:
-            return
-        grown = np.zeros((2, self.rows.shape[1] * 2, self.width), dtype=np.int64)
-        grown[:, : self.rank] = self.rows[:, : self.rank]
-        self.rows = grown
+    def insert_block(self, block: np.ndarray) -> list[int]:
+        """Reduce a block (2, k, width) against the basis and adjoin its
+        independent rows.
 
-    def _reduce(self, vec: np.ndarray) -> np.ndarray:
-        if self.rank == 0:
-            return vec % _PRIMES[:, None]
-        out = np.empty_like(vec)
-        for k in range(2):
-            p = int(_PRIMES[k])
-            c = vec[k][self.piv_arr]
-            drop = (c[:, None] * self.rows[k, : self.rank] % p).sum(axis=0)
-            out[k] = (vec[k] - drop) % p
-        return out
-
-    def insert(self, vec: np.ndarray) -> bool:
-        """Reduce against the basis and adjoin if independent."""
+        Rows are taken in block order; the result lists the block indices
+        of the rows adjoined, which become basis rows rank, rank + 1, ...
+        A reduced row vanishes in every pivot column, so the elimination
+        works on the free columns only. Within the block, the updates to
+        the unprocessed rows are left unreduced: each adds less than
+        (p-1)^2 in magnitude, so the block is reduced after every _CHUNK
+        adjoined rows and each row is reduced before it is examined.
+        """
         if self.saturated:
-            return False
-        vec = self._reduce(vec)
-        lead0, lead1 = _lead(vec[0]), _lead(vec[1])
-        if lead0 != lead1:
-            raise ModularMismatchError(
-                f"reductions disagree (leads {lead0} vs {lead1}); "
-                "rerun with different moduli"
-            )
-        if lead0 < 0:
-            return False
-        col = lead0
-        self._grow()
-        for k in range(2):
-            p = int(_PRIMES[k])
-            inv = pow(int(vec[k, col]), p - 2, p)
-            row = vec[k] * inv % p
-            c = self.rows[k, : self.rank, col].copy()
-            self.rows[k, : self.rank] = (
-                self.rows[k, : self.rank] - c[:, None] * row % p
-            ) % p
-            self.rows[k, self.rank] = row
-        self.pivcols.append(col)
-        self.piv_arr = np.asarray(self.pivcols, dtype=np.int64)
-        self.rank += 1
-        return True
+            return []
+        r = self.rank
+        free = np.flatnonzero(~self.pivotal)
+        cand = block[:, :, free]
+        if r:
+            cand -= _matmul_mod(block[:, :, self.pivcols], self.rows[:, :r, free])
+            _mod(cand)
+        live = np.flatnonzero(cand.any(axis=(0, 2)))
+        cand = cand[:, live]
+        accepted: list[int] = []
+        leads: list[int] = []
+        for i in range(len(live)):
+            if r + len(accepted) >= self.width:
+                break
+            row = cand[:, i]
+            _mod(row)
+            lead0, lead1 = _lead(row[0]), _lead(row[1])
+            if lead0 != lead1:
+                cols = [int(free[c]) if c >= 0 else -1 for c in (lead0, lead1)]
+                raise ModularMismatchError(
+                    f"reductions disagree (leads {cols[0]} vs {cols[1]}); "
+                    "rerun with different moduli"
+                )
+            if lead0 < 0:
+                continue
+            col = lead0
+            for k in range(2):
+                p = int(_PRIMES[k])
+                row[k] = row[k] * pow(int(row[k, col]), p - 2, p) % p
+            c = _mod(cand[:, :, col].copy())
+            c[:, i] = 0
+            cand -= c[:, :, None] * row[:, None, :]
+            accepted.append(i)
+            leads.append(col)
+            if len(accepted) % _CHUNK == 0:
+                _mod(cand)
+        if not accepted:
+            return []
+        new = _mod(cand[:, accepted])
+        if r:
+            old = self.rows[:, :r, free]
+            old -= _matmul_mod(old[:, :, leads], new)
+            self.rows[:, :r, free] = _mod(old)
+        t = len(accepted)
+        if r + t > self.rows.shape[1]:
+            grown = np.zeros((2, max(2 * self.rows.shape[1], r + t), self.width))
+            grown[:, :r] = self.rows[:, :r]
+            self.rows = grown
+        self.rows[:, r : r + t] = 0.0
+        self.rows[:, r : r + t, free] = new
+        self.pivcols = np.concatenate([self.pivcols, free[leads]])
+        self.pivotal[free[leads]] = True
+        self.rank = r + t
+        return live[accepted].tolist()
 
-    def row(self, i: int) -> np.ndarray:
-        return self.rows[:, i]
+
+def _apply_letters(
+    rows: np.ndarray, table: np.ndarray, letters: np.ndarray, js: list[int]
+) -> np.ndarray:
+    """Right products of every row in a stack rows (2, s, R) with the
+    letters js of a stack letters (2, R, W, *), as an array (2, R, s, len(js)).
+
+    With table the level's (R, W) product table, the product of row v and
+    letter j at column x is the sum over w of v[table[x, w]] *
+    letters[:, x, w, j]: one small matrix product per x. Columns x, rows
+    and terms w are taken in slices, so that no temporary holds more than
+    about _ELEMENT_BUDGET elements and no sum has more than _CHUNK terms.
+    """
+    size, width = table.shape
+    s, ell = rows.shape[1], len(js)
+    if js == list(range(js[0], js[0] + ell)):
+        js = slice(js[0], js[0] + ell)
+    # Per slice: letters 2*xc*wc*ell, gathered rows 2*xc*wc*sc and
+    # products 2*xc*sc*ell elements.
+    wc = min(width, _CHUNK)
+    xc = max(1, min(size, _ELEMENT_BUDGET // (4 * wc * ell)))
+    sc = max(1, min(s, _ELEMENT_BUDGET // (4 * xc * (wc + ell))))
+    cols = rows.transpose(0, 2, 1)
+    out = np.zeros((2, size, s, ell))
+    for x0 in range(0, size, xc):
+        for s0 in range(0, s, sc):
+            acc = out[:, x0 : x0 + xc, s0 : s0 + sc]
+            for w0 in range(0, width, wc):
+                gathered = cols[:, table[x0 : x0 + xc, w0 : w0 + wc], s0 : s0 + sc]
+                acc += gathered.transpose(0, 1, 3, 2) @ letters[
+                    :, x0 : x0 + xc, w0 : w0 + wc, js
+                ]
+                _mod(acc)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +359,16 @@ class _Engine:
         self.levels = [_Level(self.n, m, gens) for m in range(top + 1)]
         self._build_op_tables()
         self.bases = [_ModBasis(lv.R) for lv in self.levels]
-        self.letters: list[list[tuple]] = [[] for _ in range(top + 1)]
+        # letters[m][..., j] is letter j of level m as a (2, R, W) stack of
+        # the values its product reads; see _apply_letters.
+        self.letters: list[np.ndarray | None] = [None for _ in range(top + 1)]
+        self.letter_counts = [0 for _ in range(top + 1)]
         self.letter_seen: list[set[bytes]] = [set() for _ in range(top + 1)]
         self.mult_tables: list[tuple[np.ndarray, np.ndarray] | None] = [
             None for _ in range(top + 1)
         ]
-        self.queue: deque = deque()
+        self.queues: list[deque] = [deque() for _ in range(top + 1)]
+        self._stamp = count()
 
     # -- op tables ---------------------------------------------------------
 
@@ -317,7 +450,7 @@ class _Engine:
 
     def _wrap(self, vec: np.ndarray) -> np.ndarray:
         """Stack an exact small-integer vector into its two modular images."""
-        return vec.astype(np.int64)[None, :] % _PRIMES[:, None]
+        return _mod(np.stack([vec, vec]).astype(np.float64))
 
     def _unit_vec(self) -> np.ndarray:
         return self._wrap(np.ones(1, dtype=np.int64))
@@ -347,53 +480,127 @@ class _Engine:
         ]
 
     # -- structural operations on coordinate vectors ------------------------
+    #
+    # Each takes a vector (2, R) or a stack of them (2, s, R) at level m.
 
     def _rotate(self, m: int, v: np.ndarray) -> np.ndarray:
-        return v[:, self.rot_gather[m]]
+        return v[..., self.rot_gather[m]]
 
     def _star(self, m: int, v: np.ndarray) -> np.ndarray:
-        return v[:, self.rev_gather[m]]
+        return v[..., self.rev_gather[m]]
 
     def _incl(self, m: int, v: np.ndarray) -> np.ndarray:
         gather, mask = self.incl_map[m + 1]
-        out = v[:, gather]
+        out = v[..., gather]
         if mask is not None:
             out = out * mask
         return out
 
     def _expect(self, m: int, v: np.ndarray) -> np.ndarray:
         table, summed = self.expect_map[m - 1]
-        out = v[:, table]
+        out = v[..., table]
         if summed:
-            out = out.sum(axis=-1) % _PRIMES[:, None]
+            out = _mod(out.sum(axis=-1))
         return out
 
-    def _make_letter(self, m: int, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        a_orb, b_orb = self._mult_tables_for(m)
-        return a_orb, vec[:, b_orb]
-
-    def _apply_letter(self, letter: tuple[np.ndarray, np.ndarray], v: np.ndarray) -> np.ndarray:
-        a_orb, b = letter
-        return (v[:, a_orb] * b % _PRIMES[:, None, None]).sum(axis=2) % _PRIMES[:, None]
+    def _register_letter(self, m: int, vec: np.ndarray, nrows: int) -> None:
+        """Adopt vec as a letter and queue its products with rows 0..nrows-1."""
+        key = vec.tobytes()
+        if key in self.letter_seen[m]:
+            return
+        self.letter_seen[m].add(key)
+        letter = vec[:, self._mult_tables_for(m)[1]]
+        j, store = self.letter_counts[m], self.letters[m]
+        if store is None or j == store.shape[-1]:
+            store = np.empty(letter.shape + (max(4, 2 * j),))
+            if j:
+                store[..., :j] = self.letters[m][..., :j]
+            self.letters[m] = store
+        store[..., j] = letter
+        self.letter_counts[m] = j + 1
+        for i in range(nrows):
+            self._push(m, ("mul", i, j))
 
     # -- scheduling ----------------------------------------------------------
+    #
+    # Queue items name the row they come from instead of carrying a vector:
+    # ("vec", v) an explicit vector; ("rot", i) and ("star", i) row i of this
+    # level; ("incl", i) row i of the level below; ("expect", i) row i of the
+    # level above; ("mul", i, j) row i times letter j. The row is read when
+    # the item is materialised, which the module docstring shows is enough.
 
-    def _insert(self, m: int, vec: np.ndarray, origin: str) -> bool:
-        if not self.bases[m].insert(vec):
-            return False
-        idx = self.bases[m].rank - 1
-        row = self.bases[m].row(idx)
-        self.queue.append(("vec", m, self._rotate(m, row), "op"))
-        self.queue.append(("vec", m, self._star(m, row), "op"))
+    def _push(self, m: int, item: tuple) -> None:
+        self.queues[m].append((next(self._stamp), item))
+
+    def _materialise(self, m: int, items: list[tuple]) -> np.ndarray:
+        """The candidate vectors of the items, one gather per kind.
+
+        The products are taken as one cross product of their rows and
+        letters when at most half of it goes unused, else one letter at a
+        time.
+        """
+        block = np.empty((2, len(items), self.levels[m].R))
+        images: dict[str, tuple[list[int], list[int]]] = {}
+        products: list[tuple[int, int, int]] = []
+        for pos, item in enumerate(items):
+            if item[0] == "vec":
+                block[:, pos] = item[1]
+            elif item[0] == "mul":
+                products.append((pos, item[1], item[2]))
+            else:
+                at, idx = images.setdefault(item[0], ([], []))
+                at.append(pos)
+                idx.append(item[1])
+        for kind, (at, idx) in images.items():
+            src = m - 1 if kind == "incl" else m + 1 if kind == "expect" else m
+            rows = self.bases[src].rows[:, idx]
+            if kind == "rot":
+                block[:, at] = self._rotate(m, rows)
+            elif kind == "star":
+                block[:, at] = self._star(m, rows)
+            elif kind == "incl":
+                block[:, at] = self._incl(src, rows)
+            else:
+                block[:, at] = self._expect(src, rows)
+        if products:
+            row_ids = sorted({i for _, i, _ in products})
+            letter_ids = sorted({j for _, _, j in products})
+            if len(row_ids) * len(letter_ids) <= 2 * len(products):
+                groups = [(products, row_ids, letter_ids)]
+            else:
+                by_letter: dict[int, list[tuple[int, int, int]]] = {}
+                for pr in products:
+                    by_letter.setdefault(pr[2], []).append(pr)
+                groups = [
+                    (prs, sorted({i for _, i, _ in prs}), [j]) for j, prs in by_letter.items()
+                ]
+            for prs, row_ids, letter_ids in groups:
+                out = _apply_letters(
+                    self.bases[m].rows[:, row_ids],
+                    self._mult_tables_for(m)[0],
+                    self.letters[m],
+                    letter_ids,
+                )
+                row_at = {i: k for k, i in enumerate(row_ids)}
+                letter_at = {j: k for k, j in enumerate(letter_ids)}
+                at = [pos for pos, _, _ in prs]
+                ri = [row_at[i] for _, i, _ in prs]
+                li = [letter_at[j] for _, _, j in prs]
+                block[:, at] = out[:, :, ri, li].transpose(0, 2, 1)
+        return block
+
+    def _accepted(self, m: int, idx: int, origin: str) -> None:
+        """Queue the images and products of the new basis row idx."""
+        self._push(m, ("rot", idx))
+        self._push(m, ("star", idx))
         if m < self.top:
-            self.queue.append(("vec", m + 1, self._incl(m, row), "op"))
+            self._push(m + 1, ("incl", idx))
         if m > 0:
-            self.queue.append(("vec", m - 1, self._expect(m, row), "op"))
-        for j in range(len(self.letters[m])):
-            self.queue.append(("mul", m, idx, j))
+            self._push(m - 1, ("expect", idx))
+        for j in range(self.letter_counts[m]):
+            self._push(m, ("mul", idx, j))
         if self._letter_policy(m, origin):
-            self._register_letter(m, row)
-        return True
+            self._register_letter(m, self.bases[m].rows[:, idx], idx + 1)
 
     def _letter_policy(self, m: int, origin: str) -> bool:
         if m <= _LETTER_ALL_MAX:
@@ -401,16 +608,6 @@ class _Engine:
         if self.letter_mode == "full":
             return origin != "mult"
         return False
-
-    def _register_letter(self, m: int, vec: np.ndarray) -> None:
-        key = vec.tobytes()
-        if key in self.letter_seen[m]:
-            return
-        self.letter_seen[m].add(key)
-        j = len(self.letters[m])
-        self.letters[m].append(self._make_letter(m, vec))
-        for i in range(self.bases[m].rank):
-            self.queue.append(("mul", m, i, j))
 
     def _core_letters(self, g: ColoredGraph) -> None:
         """Rotated strand-lifts of boxes and cup-caps, the "words" letters."""
@@ -425,7 +622,7 @@ class _Engine:
             for base in batch:
                 v = base
                 for _ in range(m):
-                    self._register_letter(m, v)
+                    self._register_letter(m, v, 0)
                     v = self._rotate(m, v)
 
     # -- main loop -----------------------------------------------------------
@@ -433,23 +630,25 @@ class _Engine:
     def run(self, g: ColoredGraph) -> None:
         if self.letter_mode == "words":
             self._core_letters(g)
-        self.queue.append(("vec", 0, self._unit_vec(), "op"))
+        self._push(0, ("vec", self._unit_vec()))
         for m in range(2, self.top + 1):
-            self.queue.append(("vec", m, self._jones_vec(m), "op"))
+            self._push(m, ("vec", self._jones_vec(m)))
         if self.top >= 2:
             for v in self._seed_vecs(g):
-                self.queue.append(("vec", 2, v, "op"))
-        while self.queue:
-            item = self.queue.popleft()
-            if item[0] == "vec":
-                _, m, vec, origin = item
-                self._insert(m, vec, origin)
-            else:
-                _, m, i, j = item
-                if self.bases[m].saturated:
-                    continue
-                prod = self._apply_letter(self.letters[m][j], self.bases[m].row(i))
-                self._insert(m, prod, "mult")
+                self._push(2, ("vec", v))
+        while True:
+            heads = [(q[0][0], m) for m, q in enumerate(self.queues) if q]
+            if not heads:
+                break
+            m = min(heads)[1]
+            queue, basis = self.queues[m], self.bases[m]
+            if basis.saturated:
+                queue.clear()
+                continue
+            items = [queue.popleft()[1] for _ in range(min(_BLOCK, len(queue)))]
+            rank = basis.rank
+            for t, pos in enumerate(basis.insert_block(self._materialise(m, items))):
+                self._accepted(m, rank + t, "mult" if items[pos][0] == "mul" else "op")
 
     def dims(self) -> list[int]:
         return [b.rank for b in self.bases]
@@ -482,7 +681,7 @@ def closure(g: ColoredGraph, config: ClosureConfig) -> ClosureResult:
         buffered_dims=all_dims,
         converged=converged,
         orbit_counts=[lv.R for lv in engine.levels],
-        letter_counts=[len(ls) for ls in engine.letters],
+        letter_counts=engine.letter_counts,
     )
 
 

@@ -87,7 +87,8 @@ def automorphism_group(g: ColoredGraph) -> PermutationGroup:
     Works down the stabilizer chain of the point sequence 0, 1, ..., n-1:
     at stage i one pinned search per candidate image w of i finds an
     element sending i to w while fixing everything earlier, if one exists.
-    The hits, in order of w, make up transversal i.
+    Only w > i can be hit, since each earlier point is its own image. The
+    hits, in order of w, make up transversal i.
     """
     comps = list(g.components)
     identity = tuple(range(g.n))
@@ -95,9 +96,7 @@ def automorphism_group(g: ColoredGraph) -> PermutationGroup:
     for i in range(g.n):
         pins = [(v, v) for v in range(i)]
         stage = [identity]
-        for w in range(g.n):
-            if w == i:
-                continue
+        for w in range(i + 1, g.n):
             hit = _iso_search(g.n, comps, comps, pins=pins + [(i, w)])
             if hit is not None:
                 stage.append(hit)

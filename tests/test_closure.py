@@ -1,18 +1,30 @@
 """The orbit-compressed closure engine against its exact reference."""
 from __future__ import annotations
 
+import importlib
+import itertools
 import random
+from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qsymgraph.closure import (
+    _CHUNK,
     _PRIMES,
     ClosureConfig,
+    ModularMismatchError,
     ResourceCapError,
+    _apply_letters,
+    _ModBasis,
     bounded_c1,
     closure,
 )
 from qsymgraph.graphs import (
+    ORIENTED,
+    UNORIENTED,
+    ColorComponent,
     ColoredGraph,
     complement,
     complete,
@@ -26,6 +38,8 @@ from qsymgraph.graphs import (
 )
 from qsymgraph.scalars import GaussianRational
 from qsymgraph.spinplanar import reference_closure
+
+closure_module = importlib.import_module("qsymgraph.closure")
 
 
 def dims_of(g, max_level, **kwargs):
@@ -122,6 +136,26 @@ def test_letter_modes_agree():
         assert words == full
 
 
+GRAPHS_DIR = Path(__file__).resolve().parent.parent / "graphs"
+
+# The vertex-transitive graphs on at most six vertices, by file name.
+CENSUS_TO_SIX = (
+    "point", "two-points", "segment", "three-points", "triangle", "edgeless-4",
+    "two-segments", "square", "complete-4", "edgeless-5", "pentagon", "complete-5",
+    "edgeless-6", "three-segments", "hexagon", "two-triangles", "k33", "prism",
+    "octahedron", "complete-6",
+)
+
+
+@pytest.mark.parametrize("name", CENSUS_TO_SIX)
+def test_letter_modes_agree_at_level_four(name):
+    # Above level 3 the two policies use different letters: "words" only
+    # the lifted boxes and cup-caps, "full" every row from a
+    # non-multiplicative operation.
+    g = parse_graph((GRAPHS_DIR / f"{name}.graph").read_text())
+    assert dims_of(g, 4, letter_mode="words") == dims_of(g, 4, letter_mode="full")
+
+
 def test_convergence_probe():
     result = closure(edgeless(3), ClosureConfig(max_level=3, verify_convergence=True))
     assert result.converged is True
@@ -205,3 +239,209 @@ def test_c1_bound_trivial_on_transitive_graphs():
         rank, certificates = bounded_c1(g)
         assert rank == 1
         assert certificates == []
+
+
+# ---------------------------------------------------------------------------
+# Block elimination and the float64 exactness bound.
+
+
+def residues(vectors) -> np.ndarray:
+    """Integer vectors as the (2, k, R) float64 stack of their residues."""
+    ints = np.asarray(vectors, dtype=np.int64).reshape(len(vectors), -1)
+    return np.stack([ints % int(p) for p in _PRIMES]).astype(np.float64)
+
+
+def exact_elimination(vectors):
+    """Insert the vectors one at a time into a reduced echelon basis over
+    the rationals: the indices adjoined, their pivot columns and the
+    final rows, in the order adjoined."""
+    rows: list[list[Fraction]] = []
+    pivots: list[int] = []
+    adjoined: list[int] = []
+    for idx, vec in enumerate(vectors):
+        w = [Fraction(x) for x in vec]
+        for row, col in zip(rows, pivots):
+            if w[col]:
+                f = w[col]
+                w = [a - f * b for a, b in zip(w, row)]
+        lead = next((k for k, x in enumerate(w) if x), -1)
+        if lead < 0:
+            continue
+        w = [x / w[lead] for x in w]
+        for i, row in enumerate(rows):
+            if row[lead]:
+                f = row[lead]
+                rows[i] = [a - f * b for a, b in zip(row, w)]
+        rows.append(w)
+        pivots.append(lead)
+        adjoined.append(idx)
+    return adjoined, pivots, rows
+
+
+def candidate_stream(rng: random.Random, width: int, count: int) -> list[list[int]]:
+    """Small-integer vectors with duplicates, zero rows and dependent rows
+    mixed in; sparse rows keep the leads spread over the columns."""
+    out: list[list[int]] = []
+    for _ in range(count):
+        roll = rng.random()
+        if out and roll < 0.15:
+            out.append(list(rng.choice(out)))
+        elif roll < 0.25:
+            out.append([0] * width)
+        elif len(out) >= 2 and roll < 0.5:
+            picks = rng.sample(out, 2)
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            out.append([a * x + b * y for x, y in zip(*picks)])
+        else:
+            density = rng.choice([0.2, 0.5, 1.0])
+            out.append(
+                [rng.randint(-4, 4) if rng.random() < density else 0 for _ in range(width)]
+            )
+    return out
+
+
+def check_block_insertion(seed: int) -> None:
+    rng = random.Random(seed)
+    width = rng.randint(1, 24)
+    vectors = candidate_stream(rng, width, rng.randint(1, 3 * width + 4))
+    basis = _ModBasis(width)
+    adjoined: list[int] = []
+    start = 0
+    while start < len(vectors):
+        size = rng.randint(1, 20)
+        got = basis.insert_block(residues(vectors[start : start + size]))
+        assert got == sorted(got)
+        adjoined += [start + i for i in got]
+        start += size
+    want, pivots, rows = exact_elimination(vectors)
+    assert adjoined == want
+    assert basis.rank == len(want)
+    assert basis.pivcols.tolist() == pivots
+    stored = basis.rows[:, : basis.rank]
+    for k, p in enumerate(int(q) for q in _PRIMES):
+        assert np.all((stored[k] >= 0) & (stored[k] < p))
+        assert np.array_equal(stored[k][:, pivots], np.eye(len(pivots)))
+        expected = [
+            [x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in rows
+        ]
+        assert stored[k].astype(np.int64).tolist() == expected
+
+
+def test_insert_block_matches_exact_elimination():
+    for seed in range(60):
+        check_block_insertion(seed)
+
+
+def test_insert_block_saturates_partway_through_a_block():
+    basis = _ModBasis(3)
+    block = [[0, 0, 0], [1, 2, 3], [2, 4, 6], [0, 1, 1], [5, 0, 0], [0, 0, 7], [1, 1, 1]]
+    assert basis.insert_block(residues(block)) == [1, 3, 4]
+    assert basis.saturated and basis.pivcols.tolist() == [0, 1, 2]
+    assert basis.insert_block(residues([[1, 0, 0]])) == []
+
+
+def test_insert_block_with_small_chunks(monkeypatch):
+    # A tiny chunk forces the chunked products and the periodic in-block
+    # reductions on every path; the results must not change.
+    monkeypatch.setattr(closure_module, "_CHUNK", 2)
+    for seed in range(20):
+        check_block_insertion(seed)
+
+
+def test_mismatch_under_one_prime_raises():
+    p0 = int(_PRIMES[0])
+    # Zero modulo the first prime only, against an empty basis.
+    with pytest.raises(ModularMismatchError):
+        _ModBasis(4).insert_block(residues([[p0, 0, 0, 0]]))
+    # The same after reduction, behind an independent row in the block.
+    basis = _ModBasis(4)
+    basis.insert_block(residues([[1, 0, 0, 0]]))
+    with pytest.raises(ModularMismatchError):
+        basis.insert_block(residues([[0, 0, 1, 1], [1, p0, 0, 0]]))
+
+
+def test_float64_exactness_bound():
+    for p in (int(q) for q in _PRIMES):
+        assert p < 2**21
+        assert _CHUNK * (p - 1) ** 2 + p < 2**53
+
+
+def test_letter_products_stay_exact_past_one_chunk(monkeypatch):
+    # A level whose product table is wider than _CHUNK: n = 46, m = 4 has
+    # n^(m//2) = 2116 terms per sum, and 46^4 tuples, more than the default
+    # size limit allows. Only a table of that width is built, over R = 3
+    # orbits. The residues are odd or random and all close to p, so an
+    # unchunked float64 sum would pass 2^53 with odd partial sums and round.
+    n, m = 46, 4
+    width = n ** (m // 2)
+    assert width > _CHUNK
+    assert width * (int(_PRIMES[0]) - 2) ** 2 > 2**53
+    rng = np.random.default_rng(5)
+    size = 3
+    table = rng.integers(0, size, (size, width))
+    near_top = (_PRIMES - 2)[:, None, None]
+    rows = np.broadcast_to(near_top, (2, 2, size)).copy()
+    letters = np.broadcast_to(near_top[..., None], (2, size, width, 2)).copy()
+    rows[:, 1] -= rng.integers(0, 1000, (2, size))
+    letters[..., 1] -= rng.integers(0, 1000, (2, size, width))
+
+    def exact() -> np.ndarray:
+        out = np.zeros((2, size, 2, 2), dtype=object)
+        for k, p in enumerate(int(q) for q in _PRIMES):
+            for x, i, j in itertools.product(range(size), range(2), range(2)):
+                total = sum(
+                    int(rows[k, i, table[x, w]]) * int(letters[k, x, w, j])
+                    for w in range(width)
+                )
+                out[k, x, i, j] = total % p
+        return out
+
+    want = exact()
+    got = _apply_letters(rows, table, letters, [0, 1])
+    assert np.array_equal(got.astype(np.int64), want.astype(np.int64))
+    # Slicing rows and columns for a small element budget changes nothing.
+    monkeypatch.setattr(closure_module, "_ELEMENT_BUDGET", 1000)
+    got = _apply_letters(rows, table, letters, [1, 0])
+    assert np.array_equal(got.astype(np.int64), want[..., ::-1].astype(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# Generated differential checks.
+
+
+def test_fast_engine_matches_reference_on_generated_graphs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def colored_graphs(draw):
+        """n <= 4 vertices, 1-2 colors, each color edges or arcs; every
+        pair gets at most one color."""
+        n = draw(st.integers(1, 4))
+        oriented = draw(st.lists(st.booleans(), min_size=1, max_size=2))
+        pairs: list[set[tuple[int, int]]] = [set() for _ in oriented]
+        for i, j in itertools.combinations(range(n), 2):
+            k = draw(st.integers(0, len(oriented)))
+            if k:
+                flip = oriented[k - 1] and draw(st.booleans())
+                pairs[k - 1].add((j, i) if flip else (i, j))
+        comps = tuple(
+            ColorComponent(f"c{k}", ORIENTED if o else UNORIENTED, frozenset(p))
+            for k, (o, p) in enumerate(zip(oriented, pairs))
+        )
+        return ColoredGraph(n, comps)
+
+    # The reference works on all n^m coordinates; at n = 4 and level 2
+    # (so 64 coordinates at the buffer level) one graph takes up to 35 s,
+    # so level 2 is drawn for n <= 3 only.
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(colored_graphs(), st.integers(0, 2))
+    def check(g, level):
+        level = min(level, 1 if g.n == 4 else 2)
+        result = closure(g, ClosureConfig(max_level=level))
+        top = len(result.buffered_dims) - 1
+        assert result.dims == reference_closure(g, level, buffer=top - level)
+        assert result.buffered_dims[: level + 1] == result.dims
+        assert all(d <= r for d, r in zip(result.buffered_dims, result.orbit_counts))
+
+    check()
