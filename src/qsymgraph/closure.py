@@ -261,7 +261,6 @@ class _ModBasis:
             grown = np.zeros((2, max(2 * self.rows.shape[1], r + t), self.width))
             grown[:, :r] = self.rows[:, :r]
             self.rows = grown
-        self.rows[:, r : r + t] = 0.0
         self.rows[:, r : r + t, free] = new
         self.pivcols = np.concatenate([self.pivcols, free[leads]])
         self.pivotal[free[leads]] = True
@@ -503,24 +502,6 @@ class _Engine:
             out = _mod(out.sum(axis=-1))
         return out
 
-    def _register_letter(self, m: int, vec: np.ndarray, nrows: int) -> None:
-        """Adopt vec as a letter and queue its products with rows 0..nrows-1."""
-        key = vec.tobytes()
-        if key in self.letter_seen[m]:
-            return
-        self.letter_seen[m].add(key)
-        letter = vec[:, self._mult_tables_for(m)[1]]
-        j, store = self.letter_counts[m], self.letters[m]
-        if store is None or j == store.shape[-1]:
-            store = np.empty(letter.shape + (max(4, 2 * j),))
-            if j:
-                store[..., :j] = self.letters[m][..., :j]
-            self.letters[m] = store
-        store[..., j] = letter
-        self.letter_counts[m] = j + 1
-        for i in range(nrows):
-            self._push(m, ("mul", i, j))
-
     # -- scheduling ----------------------------------------------------------
     #
     # Queue items name the row they come from instead of carrying a vector:
@@ -551,17 +532,15 @@ class _Engine:
                 at, idx = images.setdefault(item[0], ([], []))
                 at.append(pos)
                 idx.append(item[1])
+        ops = {
+            "rot": (m, self._rotate),
+            "star": (m, self._star),
+            "incl": (m - 1, self._incl),
+            "expect": (m + 1, self._expect),
+        }
         for kind, (at, idx) in images.items():
-            src = m - 1 if kind == "incl" else m + 1 if kind == "expect" else m
-            rows = self.bases[src].rows[:, idx]
-            if kind == "rot":
-                block[:, at] = self._rotate(m, rows)
-            elif kind == "star":
-                block[:, at] = self._star(m, rows)
-            elif kind == "incl":
-                block[:, at] = self._incl(src, rows)
-            else:
-                block[:, at] = self._expect(src, rows)
+            src, op = ops[kind]
+            block[:, at] = op(src, self.bases[src].rows[:, idx])
         if products:
             row_ids = sorted({i for _, i, _ in products})
             letter_ids = sorted({j for _, _, j in products})
@@ -608,6 +587,24 @@ class _Engine:
         if self.letter_mode == "full":
             return origin != "mult"
         return False
+
+    def _register_letter(self, m: int, vec: np.ndarray, nrows: int) -> None:
+        """Adopt vec as a letter and queue its products with rows 0..nrows-1."""
+        key = vec.tobytes()
+        if key in self.letter_seen[m]:
+            return
+        self.letter_seen[m].add(key)
+        letter = vec[:, self._mult_tables_for(m)[1]]
+        j, store = self.letter_counts[m], self.letters[m]
+        if store is None or j == store.shape[-1]:
+            store = np.empty(letter.shape + (max(4, 2 * j),))
+            if j:
+                store[..., :j] = self.letters[m][..., :j]
+            self.letters[m] = store
+        store[..., j] = letter
+        self.letter_counts[m] = j + 1
+        for i in range(nrows):
+            self._push(m, ("mul", i, j))
 
     def _core_letters(self, g: ColoredGraph) -> None:
         """Rotated strand-lifts of boxes and cup-caps, the "words" letters."""
