@@ -63,6 +63,23 @@ what makes the larger examples tractable. The "full" policy instead
 promotes every row accepted from a non-multiplicative operation to a
 letter, which is slower but self-contained; which rows those are, and so
 its letter span above level _LETTER_ALL_MAX, can depend on the order.
+
+Each reported level is bounded on both sides. A run with a higher top
+level can only raise a dimension: every row the lower run accepts lies in
+the higher run's space, since the seeds do, the structural operations
+keep it, and so does every product the lower run takes (up to level
+_LETTER_ALL_MAX, and in "full" mode at every level, the space is an
+algebra; above it the "words" letters are the same fixed vectors in both
+runs). No dimension can exceed R_m, the number of orbits of the ordinary
+automorphism group Aut(X) on m-tuples: that is the width the engine works
+in, and it bounds the exact dimension too, because Aut(X) is a subgroup
+of the quantum automorphism group (its function algebra is a quotient),
+so every vector the quantum group fixes is fixed by Aut(X) as well. A
+level whose modular rank reaches R_m is therefore exact, and no buffer
+level can change it (Banica, Bichon and Chenevier, Graphs having no
+quantum symmetry, Ann. Inst. Fourier 57, 2007). closure() runs without a
+buffer first and carries the configured buffer only when some reported
+level falls short of its bound.
 """
 from __future__ import annotations
 
@@ -74,6 +91,7 @@ import numpy as np
 
 from .graphs import ColoredGraph, _component_walk_matrix, total_matrix
 from .scalars import GaussianRational
+from .symmetry import PermutationGroup, automorphism_group
 
 _PRIMES = np.array([2097143.0, 2097133.0])
 _INVERSES = 1.0 / _PRIMES
@@ -314,10 +332,18 @@ class ClosureConfig:
     max_level: highest level whose dimension is reported.
     buffer: extra levels carried above max_level so that round trips
         through them can feed back down before dimensions are read off.
+        They are carried only when a run without them leaves some
+        reported level below its orbit count R_m; a level at R_m is
+        exact, since more levels can only raise a dimension and none can
+        exceed R_m (see the module docstring).
     letter_mode: "words" (default) or "full", see the module docstring.
     verify_convergence: rerun with one more buffer level and require the
-        reported dimensions to agree; costly, so off by default.
-    size_limit: refuse levels with more than this many raw tuples.
+        reported dimensions to agree; costly, so off by default, and
+        skipped when every reported level is exact.
+    size_limit: refuse levels with more than this many raw tuples. The
+        limit applies to the highest level the call may need, max_level
+        + buffer (one more with verify_convergence), even when the run
+        stops below it.
     """
 
     max_level: int
@@ -329,31 +355,39 @@ class ClosureConfig:
 
 @dataclass
 class ClosureResult:
+    """dims and exact cover the reported levels 0..max_level; exact[m] says
+    that dims[m] equals orbit_counts[m], its upper bound. buffered_dims,
+    orbit_counts and letter_counts cover every level the final run
+    carried."""
+
     dims: list[int]
     buffered_dims: list[int]
     converged: bool | None
     orbit_counts: list[int]
     letter_counts: list[int]
+    exact: list[bool]
 
     @property
     def max_level(self) -> int:
         return len(self.dims) - 1
 
 
+def _check_size(n: int, top: int, size_limit: int) -> None:
+    if n**top > size_limit:
+        raise ResourceCapError(
+            f"level {top} has {n**top} tuples, over the limit {size_limit}"
+        )
+
+
 class _Engine:
-    def __init__(self, g: ColoredGraph, top: int, letter_mode: str, size_limit: int):
+    """One saturation run over levels 0..top; aut is the group Aut(X)."""
+
+    def __init__(self, g: ColoredGraph, top: int, letter_mode: str, aut: PermutationGroup):
         if letter_mode not in ("words", "full"):
             raise ValueError(f"unknown letter mode {letter_mode!r}")
         self.n = g.n
         self.top = top
-        if self.n**top > size_limit:
-            raise ResourceCapError(
-                f"level {top} has {self.n**top} tuples, over the limit {size_limit}"
-            )
         self.letter_mode = letter_mode
-        from .symmetry import automorphism_group
-
-        aut = automorphism_group(g)
         gens = [np.asarray(p, dtype=np.int64) for p in aut.generators]
         self.levels = [_Level(self.n, m, gens) for m in range(top + 1)]
         self._build_op_tables()
@@ -654,31 +688,52 @@ class _Engine:
 def closure(g: ColoredGraph, config: ClosureConfig) -> ClosureResult:
     """Dimension of each tensor level generated by the graph's boxes.
 
-    Levels 0..max_level are reported; the run itself goes buffer levels
-    higher so material can flow up and come back down. Raising the buffer
-    can only grow the reported dimensions, never shrink them; the
-    convergence check verifies they have stopped moving.
+    Levels 0..max_level are reported. The first run stops at max_level
+    (at least 2). A reported level whose dimension equals its orbit count
+    R_m is exact: a run carried buffer levels higher can only raise a
+    dimension, and no dimension can exceed R_m (see the module
+    docstring). When every reported level is exact, that run is the
+    result, and the convergence probe is skipped, its dimensions being
+    caught between the same bounds. Otherwise the run is repeated buffer
+    levels higher, so that material can flow up and come back down; the
+    convergence check then verifies that one more level changes nothing.
+    A certified input therefore never reaches the buffer levels, nor any
+    ModularMismatchError that only they would have raised.
+
+    The size limit is checked once, against the highest level the call
+    may need, before any engine is built.
     """
     if config.max_level < 0:
         raise ValueError("max_level must be >= 0")
     if config.buffer < 0:
         raise ValueError("buffer must be >= 0")
+    low = max(2, config.max_level)
     top = max(2, config.max_level + config.buffer)
-    engine = _Engine(g, top, config.letter_mode, config.size_limit)
-    engine.run(g)
+    _check_size(g.n, top + 1 if config.verify_convergence else top, config.size_limit)
+    aut = automorphism_group(g)
+    reported = slice(config.max_level + 1)
+
+    def run(level: int) -> _Engine:
+        engine = _Engine(g, level, config.letter_mode, aut)
+        engine.run(g)
+        return engine
+
+    engine = run(low)
+    if top > low and not all(b.saturated for b in engine.bases[reported]):
+        engine = run(top)
+    exact = [b.saturated for b in engine.bases[reported]]
     all_dims = engine.dims()
-    dims = all_dims[: config.max_level + 1]
+    dims = all_dims[reported]
     converged: bool | None = None
     if config.verify_convergence:
-        probe = _Engine(g, top + 1, config.letter_mode, config.size_limit)
-        probe.run(g)
-        converged = probe.dims()[: config.max_level + 1] == dims
+        converged = all(exact) or run(top + 1).dims()[reported] == dims
     return ClosureResult(
         dims=dims,
         buffered_dims=all_dims,
         converged=converged,
         orbit_counts=[lv.R for lv in engine.levels],
         letter_counts=engine.letter_counts,
+        exact=exact,
     )
 
 
@@ -722,7 +777,9 @@ def bounded_c1(
     built from loop counts (empty in the odd case that loop counts up to
     length 6 stay constant even though the engine found a splitting).
     """
-    engine = _Engine(g, max(2, ceiling), "words", 2_000_000)
+    top = max(2, ceiling)
+    _check_size(g.n, top, 2_000_000)
+    engine = _Engine(g, top, "words", automorphism_group(g))
     engine.run(g)
     rank = engine.bases[1].rank
     if rank <= 1:

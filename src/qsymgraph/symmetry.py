@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -80,9 +80,14 @@ class PermutationGroup:
         return len(self.transversals[0]) == self.n
 
 
+@lru_cache(maxsize=32)
 def automorphism_group(g: ColoredGraph) -> PermutationGroup:
     """All vertex permutations preserving every color component setwise
     (arcs with their orientation).
+
+    Memoized on the graph, which is frozen and hashable: one analysis
+    asks for the same group from the command line, from classify and from
+    the closure engine.
 
     Works down the stabilizer chain of the point sequence 0, 1, ..., n-1:
     at stage i one pinned search per candidate image w of i finds an

@@ -1,6 +1,7 @@
 """Command line behavior: output shapes, exit codes, stable JSON."""
 from __future__ import annotations
 
+import importlib
 import json
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 from qsymgraph.cli import main
-from qsymgraph.graphs import complete, n_gon, tensor_product, write_graph
+from qsymgraph.graphs import _iso_search, complete, n_gon, tensor_product, write_graph
 
 
 @pytest.fixture
@@ -26,6 +27,22 @@ def test_analyze_human_readable(pentagon_file, capsys):
     assert "classification: Dihedral(5)" in out
     assert "prefix: 1, 1, 3, 13, 63" in out
     assert "timings:" in out
+
+
+def test_analyze_builds_the_automorphism_group_once(pentagon_file, monkeypatch):
+    # The command line, classify and the closure engine all ask for the
+    # group; the pinned searches of one build are n(n-1)/2 = 10.
+    symmetry = importlib.import_module("qsymgraph.symmetry")
+    searches = []
+
+    def counting_search(*args, **kwargs):
+        searches.append(args)
+        return _iso_search(*args, **kwargs)
+
+    monkeypatch.setattr(symmetry, "_iso_search", counting_search)
+    symmetry.automorphism_group.cache_clear()
+    assert main(["analyze", pentagon_file, "--json"]) == 0
+    assert len(searches) == 10
 
 
 def test_analyze_json_is_stable_and_round_trips(pentagon_file, capsys):

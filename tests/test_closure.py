@@ -38,6 +38,7 @@ from qsymgraph.graphs import (
 )
 from qsymgraph.scalars import GaussianRational
 from qsymgraph.spinplanar import reference_closure
+from qsymgraph.symmetry import automorphism_group
 
 closure_module = importlib.import_module("qsymgraph.closure")
 
@@ -165,10 +166,59 @@ def test_convergence_probe():
 
 
 def test_buffered_dims_extend_reported_dims():
-    result = closure(n_gon(5), ClosureConfig(max_level=3, buffer=2))
-    assert result.buffered_dims[:4] == result.dims
+    # Level 4 of the four points falls short of its orbit count, so the
+    # buffer levels are carried.
+    result = closure(edgeless(4), ClosureConfig(max_level=4, buffer=2))
+    assert result.buffered_dims[:5] == result.dims
+    assert len(result.buffered_dims) == 7
+    assert result.max_level == 4
+    # Every level of the pentagon through 3 is exact without them.
+    certified = closure(n_gon(5), ClosureConfig(max_level=3, buffer=2))
+    assert certified.exact == [True] * 4
+    assert len(certified.buffered_dims) == 4
+
+
+def test_point_set_level_four_is_not_certified():
+    # Catalan 14 against Bell 15: S_4^+ is larger than S_4.
+    result = closure(edgeless(4), ClosureConfig(max_level=4))
+    assert result.dims == [1, 1, 2, 5, 14]
+    assert result.orbit_counts[4] == 15
+    assert result.exact == [True, True, True, True, False]
     assert len(result.buffered_dims) == 6
-    assert result.max_level == 3
+
+
+def test_rook_graph_needs_the_buffer_level():
+    g = parse_graph((GRAPHS_DIR / "discrete-torus.graph").read_text())
+    assert dims_of(g, 4, buffer=0) == [1, 1, 3, 15, 101]
+    result = closure(g, ClosureConfig(max_level=4))
+    assert result.dims == [1, 1, 3, 15, 105]
+    assert result.exact == [True] * 5
+
+
+def test_certified_input_builds_one_engine_and_one_group(monkeypatch):
+    engines, groups = [], []
+
+    class CountingEngine(closure_module._Engine):
+        def __init__(self, g, top, *args):
+            engines.append(top)
+            super().__init__(g, top, *args)
+
+    def counting_group(g):
+        groups.append(g)
+        return automorphism_group(g)
+
+    monkeypatch.setattr(closure_module, "_Engine", CountingEngine)
+    monkeypatch.setattr(closure_module, "automorphism_group", counting_group)
+    cfg = ClosureConfig(max_level=3, buffer=2, verify_convergence=True)
+    result = closure(n_gon(6), cfg)
+    assert result.converged is True and all(result.exact)
+    assert (engines, len(groups)) == ([3], 1)
+    engines.clear()
+    groups.clear()
+    cfg = ClosureConfig(max_level=4, verify_convergence=True)
+    result = closure(edgeless(4), cfg)
+    assert result.converged is True and not result.exact[4]
+    assert (engines, len(groups)) == ([4, 5, 6], 1)
 
 
 def test_dims_ignore_complement():
@@ -212,6 +262,20 @@ def test_size_cap_refusal():
         closure(n_gon(5), ClosureConfig(max_level=-1))
     with pytest.raises(ValueError):
         closure(n_gon(5), ClosureConfig(max_level=4, buffer=-2))
+
+
+def test_size_cap_applies_to_the_buffer_level(monkeypatch):
+    # 5^9 tuples fit under the default limit and 5^10 do not; the buffer
+    # level is refused before any engine is built, even though the pentagon
+    # would be certified without it. So is the convergence probe's level.
+    def no_engine(*args):
+        raise AssertionError("an engine was built")
+
+    monkeypatch.setattr(closure_module, "_Engine", no_engine)
+    with pytest.raises(ResourceCapError, match="level 10"):
+        closure(n_gon(5), ClosureConfig(max_level=9))
+    with pytest.raises(ResourceCapError, match="level 4"):
+        closure(n_gon(5), ClosureConfig(max_level=2, verify_convergence=True, size_limit=5**3))
 
 
 def test_c1_bound_splits_mixed_union():
@@ -443,5 +507,65 @@ def test_fast_engine_matches_reference_on_generated_graphs():
         assert result.dims == reference_closure(g, level, buffer=top - level)
         assert result.buffered_dims[: level + 1] == result.dims
         assert all(d <= r for d, r in zip(result.buffered_dims, result.orbit_counts))
+
+    check()
+
+
+def test_adaptive_buffer_matches_the_buffered_run_on_generated_graphs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def colored_graphs(draw):
+        """n <= 5 vertices, 1-2 colors, each color edges or arcs; every
+        pair gets at most one color. In half the draws every vertex gets
+        one of two block labels and a pair's color depends on its labels
+        only, so that large groups, and levels that fall short of their
+        orbit counts, come up often."""
+        n = draw(st.integers(1, 5))
+        oriented = draw(st.lists(st.booleans(), min_size=1, max_size=2))
+        if draw(st.booleans()):
+            block = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        else:
+            block = list(range(n))
+        choice: dict[tuple[int, int], tuple[int, bool]] = {}
+        pairs: list[set[tuple[int, int]]] = [set() for _ in oriented]
+        for i, j in itertools.combinations(range(n), 2):
+            key = (min(block[i], block[j]), max(block[i], block[j]))
+            if key not in choice:
+                k = draw(st.integers(0, len(oriented)))
+                choice[key] = (k, bool(k) and oriented[k - 1] and draw(st.booleans()))
+            k, flip = choice[key]
+            if k:
+                forward = (block[i] <= block[j]) != flip
+                pairs[k - 1].add((i, j) if forward else (j, i))
+        comps = tuple(
+            ColorComponent(f"c{k}", ORIENTED if o else UNORIENTED, frozenset(p))
+            for k, (o, p) in enumerate(zip(oriented, pairs))
+        )
+        return ColoredGraph(n, comps)
+
+    # No level <= 3 of a graph on at most five vertices falls short of its
+    # orbit count, so level 4 is drawn too, and most often. A five-vertex
+    # graph with no symmetry takes 23 s at top level 5 (3125 orbits), so
+    # the level is lowered until n^top <= 500 |Aut(X)|. On inputs this
+    # small the buffer levels never change a dim, even where they are
+    # carried; test_rook_graph_needs_the_buffer_level is a case where
+    # they do.
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(
+        colored_graphs(), st.integers(0, 4).map(lambda k: 4 - k), st.integers(1, 2)
+    )
+    def check(g, level, buffer):
+        aut = automorphism_group(g)
+        while level and g.n ** (level + buffer) > 500 * aut.order:
+            level -= 1
+        result = closure(g, ClosureConfig(max_level=level, buffer=buffer))
+        engine = closure_module._Engine(g, max(2, level + buffer), "words", aut)
+        engine.run(g)
+        assert result.dims == engine.dims()[: level + 1]
+        assert len(result.exact) == level + 1
+        for m, exact in enumerate(result.exact):
+            assert exact == (result.dims[m] == result.orbit_counts[m])
 
     check()
