@@ -9,9 +9,11 @@ Each rule leaves a line in the provenance trail whether it fired or not.
 
 The module also hosts the small-graph enumeration: all regular graphs up
 to isomorphism on at most nine vertices, the vertex-transitive ones among
-them closed under complementation, each classified. Deduplication uses
-the least adjacency bit string over all vertex relabelings, found by an
-individualization-refinement search with twin pruning.
+them closed under complementation, each classified. Row v of a generated
+graph takes the leftmost vertices of each cell of later vertices alike on
+0..v-1, as swapping two of them fixes every earlier row and v. Duplicates
+go by the least adjacency bit string over all vertex relabelings, found
+by an individualization-refinement search with twin pruning.
 """
 from __future__ import annotations
 
@@ -224,7 +226,12 @@ def _canonical_adjacency(adj: np.ndarray) -> tuple[bytes, np.ndarray]:
         states = survivors
     perm = list(states[0][0])
     canon = adj[np.ix_(perm, perm)]
-    return np.packbits(canon.reshape(-1)).tobytes(), canon
+    return _packed(canon), canon
+
+
+def _packed(adj: np.ndarray) -> bytes:
+    """The packed row-major bit string of adj: the key of a canonical matrix."""
+    return np.packbits(adj.reshape(-1)).tobytes()
 
 
 def canonical_key(g: ColoredGraph) -> bytes:
@@ -241,55 +248,60 @@ def canonical_key(g: ColoredGraph) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# Regular-graph enumeration by degree-constrained backtracking.
+# Regular-graph enumeration, leftmost within cells.
 
 
 def _regular_completions(n: int, k: int):
-    """Labeled k-regular graphs with the first neighborhood pinned to
-    {1..k}; every isomorphism class admits such a labeling, so none is
-    missed. Edges are added vertex by vertex toward higher indices."""
-    if k >= n:
+    """Labeled k-regular graphs on n vertices, at least one per
+    isomorphism class, with rows filled in order 0..n-1.
+
+    Row v joins v to later vertices w > v with deg(w) < k. These fall
+    into cells by their adjacency to 0..v-1, and row v takes the first t
+    vertices of each cell for some count t per cell, never any other
+    subset. A transposition of two vertices in one cell fixes rows
+    0..v-1 and vertex v, so it maps completions of those rows to
+    completions of them; by induction on v, every class keeps a
+    completion whose every row is leftmost in its cells. At v = 0 there
+    is one cell, so N(0) = {1..k}. Isomorphic completions can remain;
+    callers keep one per canonical key. Nothing exists when n·k is odd.
+    """
+    if k >= n or n * k % 2:
         return
-    adj = np.zeros((n, n), dtype=bool)
-    deg = [0] * n
-    start = 0
-    if k > 0:
-        for j in range(1, k + 1):
-            adj[0, j] = adj[j, 0] = True
-            deg[j] = 1
-        deg[0] = k
-        start = 1
+    # Bit u of nbr[w] is set when u ~ w; rows 0..v-1 have set all of them.
+    nbr = [0] * n
 
-    def rec(v: int):
+    def rows(v: int):
         if v == n:
-            if deg[v - 1] == k:
-                yield adj.copy()
+            yield np.array([[m >> j & 1 for j in range(n)] for m in nbr], dtype=bool)
             return
-        need = k - deg[v]
-        if need < 0:
-            return
-        if need == 0:
-            yield from rec(v + 1)
-            return
-        cands = [w for w in range(v + 1, n) if deg[w] < k]
-        if need > len(cands):
-            return
-        for combo in itertools.combinations(cands, need):
-            for w in combo:
-                adj[v, w] = adj[w, v] = True
-                deg[w] += 1
-            deg[v] += need
-            yield from rec(v + 1)
-            deg[v] -= need
-            for w in combo:
-                adj[v, w] = adj[w, v] = False
-                deg[w] -= 1
+        cells: dict[int, list[int]] = {}
+        for w in range(v + 1, n):
+            if nbr[w].bit_count() < k:
+                cells.setdefault(nbr[w], []).append(w)
+        yield from take(v, list(cells.values()), 0, k - nbr[v].bit_count())
 
-    yield from rec(start)
+    def take(v: int, cells: list[list[int]], i: int, need: int):
+        if need == 0:
+            yield from rows(v + 1)
+            return
+        if i == len(cells) or need > sum(map(len, cells[i:])):
+            return
+        cell = cells[i]
+        for t in range(min(need, len(cell)), -1, -1):
+            for w in cell[:t]:
+                nbr[v] |= 1 << w
+                nbr[w] |= 1 << v
+            yield from take(v, cells, i + 1, need - t)
+            for w in cell[:t]:
+                nbr[v] &= ~(1 << w)
+                nbr[w] &= ~(1 << v)
+
+    yield from rows(0)
 
 
 def regular_graph_reps(n: int) -> list[ColoredGraph]:
-    """All k-regular graphs on n vertices up to isomorphism, k ≤ (n−1)/2.
+    """All k-regular graphs on n vertices up to isomorphism, k ≤ (n−1)/2,
+    sorted, each in the canonical labeling that spells its key.
 
     The denser half of the regular world is reachable from these by
     complementation, which is how the callers use it.
@@ -310,8 +322,8 @@ def product_factor_candidates(m: int) -> tuple[ColoredGraph, ...]:
     """Connected regular graphs on m vertices up to isomorphism."""
     out: dict[bytes, ColoredGraph] = {}
     for rep in regular_graph_reps(m):
-        for h in (rep, complement(rep)):
-            key, canon = _canonical_adjacency(_plain_adjacency(h))
+        adj, comp = _plain_adjacency(rep), _plain_adjacency(complement(rep))
+        for key, canon in ((_packed(adj), adj), _canonical_adjacency(comp)):
             if key in out:
                 continue
             candidate = _graph_from_adjacency(canon)
@@ -1016,19 +1028,22 @@ def enumerate_homogeneous(
     entries: list[EnumeratedGraph] = []
     cache: dict[bytes, Classification] = {}
     for n in range(1, max_n + 1):
-        pool: dict[bytes, ColoredGraph] = {}
+        # Key -> (graph, key of its complement). The reps come in canonical
+        # labeling, so only their complements need the search.
+        pool: dict[bytes, tuple[ColoredGraph, bytes]] = {}
         for g in regular_graph_reps(n):
             if not automorphism_group(g).is_transitive():
                 continue
-            pool[canonical_key(g)] = g
-            comp = complement(g)
-            key, canon = _canonical_adjacency(_plain_adjacency(comp))
-            pool.setdefault(bytes([n]) + key, _graph_from_adjacency(canon))
+            key = bytes([n]) + _packed(_plain_adjacency(g))
+            raw, canon = _canonical_adjacency(_plain_adjacency(complement(g)))
+            comp_key = bytes([n]) + raw
+            pool[key] = (g, comp_key)
+            pool.setdefault(comp_key, (_graph_from_adjacency(canon), key))
         for key in sorted(pool):
-            g = pool[key]
+            g, comp_key = pool[key]
             dense = 4 * g.edge_count() > g.n * (g.n - 1)
             norm = complement(g) if dense else g
-            norm_key = canonical_key(norm)
+            norm_key = comp_key if dense else key
             if norm_key not in cache:
                 cache[norm_key] = classify(norm, cfg)
             cls = cache[norm_key]

@@ -10,6 +10,7 @@ import pytest
 
 from qsymgraph.classify import (
     _canonical_adjacency,
+    _packed,
     _plain_adjacency,
     _regular_completions,
     canonical_key,
@@ -357,6 +358,110 @@ def test_regular_reps_small_counts():
         assert len(degrees) == 1
 
 
+def test_regular_reps_spell_their_keys():
+    """The census reads each rep's key off its matrix, without a search."""
+    for n in range(1, 10):
+        reps = regular_graph_reps(n)
+        keys = [bytes([n]) + _packed(_plain_adjacency(g)) for g in reps]
+        assert keys == [canonical_key(g) for g in reps]
+        assert keys == sorted(set(keys))
+
+
+# -- regular-graph generation -------------------------------------------------
+
+
+def pinned_regular_completions(n: int, k: int):
+    """Labeled k-regular graphs with the first neighborhood pinned to
+    {1..k}; every isomorphism class admits such a labeling, so none is
+    missed. Edges are added vertex by vertex toward higher indices."""
+    if k >= n:
+        return
+    adj = np.zeros((n, n), dtype=bool)
+    deg = [0] * n
+    start = 0
+    if k > 0:
+        for j in range(1, k + 1):
+            adj[0, j] = adj[j, 0] = True
+            deg[j] = 1
+        deg[0] = k
+        start = 1
+
+    def rec(v: int):
+        if v == n:
+            if deg[v - 1] == k:
+                yield adj.copy()
+            return
+        need = k - deg[v]
+        if need < 0:
+            return
+        if need == 0:
+            yield from rec(v + 1)
+            return
+        cands = [w for w in range(v + 1, n) if deg[w] < k]
+        if need > len(cands):
+            return
+        for combo in itertools.combinations(cands, need):
+            for w in combo:
+                adj[v, w] = adj[w, v] = True
+                deg[w] += 1
+            deg[v] += need
+            yield from rec(v + 1)
+            deg[v] -= need
+            for w in combo:
+                adj[v, w] = adj[w, v] = False
+                deg[w] -= 1
+
+    yield from rec(start)
+
+
+def completion_keys(n, k, completions):
+    keys = set()
+    for adj in completions(n, k):
+        assert adj.shape == (n, n) and adj.dtype == bool
+        assert np.array_equal(adj, adj.T)
+        assert not adj.diagonal().any()
+        assert (adj.sum(axis=1) == k).all()
+        keys.add(_canonical_adjacency(adj)[0])
+    return keys
+
+
+@pytest.mark.parametrize(
+    "n, k",
+    [(n, k) for n in range(1, 8) for k in range(n)] + [(8, k) for k in range(5)],
+)
+def test_cell_rule_keeps_every_class_of_the_pinned_generator(n, k):
+    want = completion_keys(n, k, pinned_regular_completions)
+    assert completion_keys(n, k, _regular_completions) == want
+
+
+def test_regular_completions_match_the_graph_atlas():
+    nx = pytest.importorskip("networkx")
+    atlas: dict[tuple[int, int], set[bytes]] = {}
+    for h in nx.graph_atlas_g():
+        n = h.number_of_nodes()
+        degrees = {d for _, d in h.degree()}
+        if n == 0 or len(degrees) != 1:
+            continue
+        adj = nx.to_numpy_array(h, nodelist=range(n), dtype=bool)
+        atlas.setdefault((n, degrees.pop()), set()).add(_canonical_adjacency(adj)[0])
+    for n in range(1, 8):
+        for k in range(n):
+            got = completion_keys(n, k, _regular_completions)
+            assert got == atlas.get((n, k), set()), (n, k)
+
+
+def test_odd_degree_sums_yield_nothing():
+    for n in range(1, 12):
+        for k in range(1, n, 2):
+            if n % 2:
+                assert next(_regular_completions(n, k), None) is None, (n, k)
+
+
+def test_cell_rule_labels_far_fewer_completions():
+    # Every labeled completion of the pinned generator would be 14,634.
+    assert sum(1 for _ in _regular_completions(9, 4)) < 1000
+
+
 # -- canonical labeling -------------------------------------------------------
 
 
@@ -374,7 +479,7 @@ def brute_force_canonical(adj):
 def oracle_inputs():
     for n in range(1, 8):
         for k in range(n):
-            for adj in _regular_completions(n, k):
+            for adj in pinned_regular_completions(n, k):
                 yield adj
                 yield ~(adj | np.eye(n, dtype=bool))
     rng = random.Random(2024)
