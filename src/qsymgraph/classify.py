@@ -6,6 +6,11 @@ Fuss-Catalan shapes (product-of-simplices colorings and their disguises),
 the circulant eigenvalue criterion for dihedral symmetry, tensor-product
 splitting, and finally a raw dimension computation for everything else.
 Each rule leaves a line in the provenance trail whether it fired or not.
+The circulant criterion reads its full cycle off the element table of
+the automorphism group: the lexicographically least orbit sequence of 0
+over the elements whose cycle through 0 has length n, which is the cycle
+an ascending depth-first search would find. Groups too large to tabulate
+are rejected, as the criterion only accepts groups of order 2n.
 
 The module also hosts the small-graph enumeration: all regular graphs up
 to isomorphism on at most nine vertices, the vertex-transitive ones among
@@ -52,7 +57,7 @@ from .series import (
     PoincareSeries,
     tl_series,
 )
-from .symmetry import automorphism_group
+from .symmetry import _ELEMENT_CAP, PermutationGroup, automorphism_group
 
 from .graphs import loop_rule_check
 
@@ -345,44 +350,21 @@ class CyclicVerdict:
     values: tuple[CyclotomicElement, ...] = ()
 
 
-def _find_cycle_order(g: ColoredGraph) -> list[int] | None:
-    """A vertex ordering on which the one-step shift is a symmetry.
-
-    Builds the cycle of the sought automorphism directly: seq[d] is the
-    image of seq[d-1], and each placement is checked against all edge
-    constraints it completes.
+def _cycle_order(group: PermutationGroup) -> list[int]:
+    """The lexicographically least sequence 0, p(0), p²(0), ... over the
+    elements p of a transitive group whose cycle through 0 has length n,
+    or [] if there is none. One column per step, for all elements at once.
     """
-    n = g.n
-    if n == 1:
-        return [0]
-    adj = [[False] * n for _ in range(n)]
-    for i, j in g.components[0].pairs:
-        adj[i][j] = adj[j][i] = True
-    seq = [0]
-    used = [False] * n
-    used[0] = True
-
-    def rec() -> bool:
-        d = len(seq)
-        if d == n:
-            return all(
-                adj[seq[i]][seq[n - 1]] == adj[seq[i + 1]][seq[0]]
-                for i in range(n - 1)
-            )
-        for w in range(n):
-            if used[w]:
-                continue
-            if any(adj[seq[i]][seq[d - 1]] != adj[seq[i + 1]][w] for i in range(d - 1)):
-                continue
-            seq.append(w)
-            used[w] = True
-            if rec():
-                return True
-            seq.pop()
-            used[w] = False
-        return False
-
-    return seq if rec() else None
+    if not group.is_transitive():
+        return []
+    table = group.table
+    seq = np.zeros((len(table), group.n), dtype=table.dtype)
+    for k in range(1, group.n):
+        seq[:, k] = np.take_along_axis(table, seq[:, k - 1 : k], axis=1)[:, 0]
+    full = seq[(seq[:, 1:] != 0).all(axis=1)]
+    if not len(full):
+        return []
+    return full[np.lexsort(full.T[::-1])[0]].tolist()
 
 
 def cyclic_criterion(g: ColoredGraph) -> CyclicVerdict:
@@ -391,13 +373,32 @@ def cyclic_criterion(g: ColoredGraph) -> CyclicVerdict:
     Finds a full cycle in the symmetry group, reads off the edge profile
     of vertex 0 along it, and evaluates the profile polynomial at the
     n-th roots of unity w^0..w^(n//2) in exact cyclotomic arithmetic.
-    Accepts exactly when the values are pairwise distinct and n is not 4.
+    Accepts exactly when the values are pairwise distinct and n is not 4:
+    then the quantum symmetry is the dihedral D_n (the paper's circulant
+    theorem), and so is Aut(X), its classical quotient.
+
+    The cycle is the lexicographically least sequence 0, p(0), p²(0), ...
+    over the n-cycles p in the element table of Aut(X). It is the cycle
+    a depth-first search would find trying images in ascending order, as
+    that search only prunes partial shifts no automorphism extends, and
+    an n-cycle is fixed by its sequence from 0. A transitive group above
+    the element cap has no table and is rejected for its size. No
+    acceptance is lost: by the theorem an accepted graph has a group of
+    order 2n, within the cap for every n up to 500,000.
     """
     n = g.n
     if len(g.components) != 1 or g.components[0].kind != UNORIENTED:
         return CyclicVerdict(False, n, "needs exactly one unoriented color")
-    order = _find_cycle_order(g)
-    if order is None:
+    group = automorphism_group(g)
+    if group.is_transitive() and group.order > _ELEMENT_CAP:
+        return CyclicVerdict(
+            False,
+            n,
+            f"symmetry group of order {group.order} is too large to search "
+            "for a full cycle",
+        )
+    order = _cycle_order(group)
+    if not order:
         return CyclicVerdict(False, n, "symmetry group has no full cycle")
     edge_set = {frozenset(p) for p in g.components[0].pairs}
     e = [0] * n
@@ -439,15 +440,6 @@ class ProductVerdict:
     left_spectrum: tuple[Fraction, ...] = ()
     right_spectrum: tuple[Fraction, ...] = ()
     classification: Classification | None = None
-
-
-def _classification_prefix(c: Classification, count: int) -> list[Fraction] | None:
-    if c.series is not None:
-        return c.series.prefix(count)
-    assert c.prefix is not None
-    if len(c.prefix) < count:
-        return None
-    return [Fraction(v) for v in c.prefix[:count]]
 
 
 def product_test(
@@ -503,8 +495,8 @@ def product_test(
         count = min(
             len(left.prefix or ()) or 10**9, len(right.prefix or ()) or 10**9
         )
-        lp = _classification_prefix(left, count)
-        rp = _classification_prefix(right, count)
+        lp = left.series_prefix(count)
+        rp = right.series_prefix(count)
         assert lp is not None and rp is not None
         prefix = tuple(int(a * b) for a, b in zip(lp, rp))
     trail = (

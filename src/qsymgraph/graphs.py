@@ -258,27 +258,6 @@ def reverse(g: ColoredGraph, label: str) -> ColoredGraph:
     return ColoredGraph(g.n, tuple(flipped if x.label == label else x for x in g.components))
 
 
-def forget_orientation(g: ColoredGraph, label: str) -> ColoredGraph:
-    c = g.component(label)
-    if c.kind != ORIENTED:
-        raise GraphError("forget applies to oriented components")
-    sym = ColorComponent(
-        c.label, UNORIENTED, frozenset(_norm_edge(i, j) for i, j in c.pairs), None
-    )
-    return ColoredGraph(g.n, tuple(sym if x.label == label else x for x in g.components))
-
-
-def merge_colors(g: ColoredGraph, label_a: str, label_b: str) -> ColoredGraph:
-    a = g.component(label_a)
-    b = g.component(label_b)
-    if a.kind != b.kind:
-        raise GraphError("can only merge components of the same kind")
-    value = a.value if a.value is not None and a.value == b.value else None
-    merged = ColorComponent(a.label, a.kind, a.pairs | b.pairs, value)
-    comps = [merged if c.label == label_a else c for c in g.components if c.label != label_b]
-    return ColoredGraph(g.n, tuple(comps))
-
-
 def saturate(g: ColoredGraph) -> ColoredGraph:
     """Add one fresh unoriented component covering the uncovered pairs."""
     present = g.covered_pairs()

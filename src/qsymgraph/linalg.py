@@ -237,9 +237,6 @@ class EchelonBasis:
                     v[j] = v[j] - c * row[j]
         return v
 
-    def contains(self, vec: Iterable[GaussianRational]) -> bool:
-        return all(c.is_zero() for c in self.reduce(vec))
-
     def insert(self, vec: Iterable[GaussianRational]) -> bool:
         v = self.reduce(vec)
         pivot = next((j for j, c in enumerate(v) if not c.is_zero()), None)
@@ -257,11 +254,3 @@ class EchelonBasis:
         self.vectors.insert(at, v)
         self.pivots.insert(at, pivot)
         return True
-
-    def coordinates(self, vec: Iterable[GaussianRational]) -> list[GaussianRational] | None:
-        """Coefficients expressing vec over the basis, or None if outside."""
-        v = list(vec)
-        coords = [v[p] for p in self.pivots]
-        if not all(c.is_zero() for c in self.reduce(v)):
-            return None
-        return coords

@@ -175,14 +175,3 @@ class ClassicalCoaction:
                     if d[i, p[j]] != d[pinv[i], j]:
                         return False
         return True
-
-
-def invariance_by_relabeling(group: PermutationGroup, d: ExactMatrix) -> bool:
-    """Direct route: d is invariant iff d[g(i), g(j)] = d[i, j] for all g."""
-    n = group.n
-    for p in group.elements:
-        for i in range(n):
-            for j in range(n):
-                if d[p[i], p[j]] != d[i, j]:
-                    return False
-    return True

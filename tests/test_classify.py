@@ -1,8 +1,10 @@
 """Recognition pipeline: circulant criterion, tensor splitting, towers."""
 from __future__ import annotations
 
+import importlib
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +28,9 @@ from qsymgraph.classify import (
 )
 from qsymgraph.closure import ClosureConfig
 from qsymgraph.graphs import (
+    ColoredGraph,
     GraphError,
+    _single,
     complement,
     complete,
     cube,
@@ -41,6 +45,7 @@ from qsymgraph.graphs import (
     tensor_product,
 )
 from qsymgraph.scalars import CyclotomicElement
+from qsymgraph.symmetry import automorphism_group
 
 
 def discrete_torus():
@@ -111,6 +116,131 @@ def test_pentagon_passes_criterion():
     verdict = cyclic_criterion(n_gon(5))
     assert verdict.accepted
     assert len(set(verdict.values)) == 3
+
+
+# The depth-first cycle search cyclic_criterion ran before it read the
+# element table, kept verbatim as a test-only reference.
+def find_cycle_order(g: ColoredGraph) -> list[int] | None:
+    """A vertex ordering on which the one-step shift is a symmetry.
+
+    Builds the cycle of the sought automorphism directly: seq[d] is the
+    image of seq[d-1], and each placement is checked against all edge
+    constraints it completes.
+    """
+    n = g.n
+    if n == 1:
+        return [0]
+    adj = [[False] * n for _ in range(n)]
+    for i, j in g.components[0].pairs:
+        adj[i][j] = adj[j][i] = True
+    seq = [0]
+    used = [False] * n
+    used[0] = True
+
+    def rec() -> bool:
+        d = len(seq)
+        if d == n:
+            return all(
+                adj[seq[i]][seq[n - 1]] == adj[seq[i + 1]][seq[0]]
+                for i in range(n - 1)
+            )
+        for w in range(n):
+            if used[w]:
+                continue
+            if any(adj[seq[i]][seq[d - 1]] != adj[seq[i + 1]][w] for i in range(d - 1)):
+                continue
+            seq.append(w)
+            used[w] = True
+            if rec():
+                return True
+            seq.pop()
+            used[w] = False
+        return False
+
+    return seq if rec() else None
+
+
+def relabeled(adj, rng):
+    n = adj.shape[0]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return _single(n, ((perm[i], perm[j]) for i, j in zip(*np.nonzero(np.triu(adj)))))
+
+
+def cycle_inputs():
+    for n in range(1, 10):
+        for g in regular_graph_reps(n):
+            if len(g.components) == 1:
+                yield g
+            h = complement(g)
+            if len(h.components) == 1:
+                yield h
+    rng = random.Random(31)
+    for n in range(3, 10):
+        for k in range(1, n):
+            completions = list(_regular_completions(n, k))
+            for adj in rng.choices(completions, k=8) if completions else ():
+                yield relabeled(adj, rng)
+    # Connection set {2, 3, 4, 5} on 16 vertices: the first n-cycle in
+    # the order of the element table is not the least one.
+    yield _single(16, ((i, (i + s) % 16) for i in range(16) for s in (2, 3, 4, 5)))
+
+
+def test_cycle_from_the_table_matches_the_search(monkeypatch):
+    # The package exports the function classify under the module's name.
+    classify_module = importlib.import_module("qsymgraph.classify")
+    checked = accepted = cycles = 0
+    for g in cycle_inputs():
+        verdict = cyclic_criterion(g)
+        with monkeypatch.context() as m:
+            m.setattr(classify_module, "_cycle_order", lambda _: find_cycle_order(g) or [])
+            want = cyclic_criterion(g)
+        assert (verdict.accepted, verdict.reason) == (want.accepted, want.reason)
+        assert (verdict.profile, verdict.values) == (want.profile, want.values)
+        checked += 1
+        accepted += verdict.accepted
+        cycles += verdict.profile is not None
+    # The sets reach both sides of every branch.
+    assert checked > 200 and 0 < accepted < cycles < checked
+
+
+def dodecahedron():
+    """The generalized Petersen graph GP(10, 2)."""
+    edges = []
+    for i in range(10):
+        edges += [(i, (i + 1) % 10), (i, 10 + i), (10 + i, 10 + (i + 2) % 10)]
+    return _single(20, edges)
+
+
+def test_dodecahedron_has_no_full_cycle_quickly():
+    g = dodecahedron()
+    assert automorphism_group(g).order == 120
+    start = time.perf_counter()
+    verdict = cyclic_criterion(g)
+    # The depth-first search this replaced took about 12 s on this graph.
+    assert time.perf_counter() - start < 1.0
+    assert verdict.reason == "symmetry group has no full cycle"
+
+
+def test_three_hexagons_collide_at_the_antipode():
+    verdict = cyclic_criterion(disjoint_copies(3, n_gon(6)))
+    assert not verdict.accepted
+    assert verdict.reason == "eigenvalue collision Q(w^0) = Q(w^6) = 2"
+
+
+def test_path_is_not_transitive():
+    verdict = cyclic_criterion(_single(3, [(0, 1), (1, 2)]))
+    assert (verdict.accepted, verdict.reason) == (False, "symmetry group has no full cycle")
+
+
+def test_group_over_the_element_cap_is_rejected_for_its_size():
+    g = disjoint_copies(5, n_gon(5))
+    assert automorphism_group(g).order == 12_000_000
+    verdict = cyclic_criterion(g)
+    assert not verdict.accepted
+    assert verdict.reason == (
+        "symmetry group of order 12000000 is too large to search for a full cycle"
+    )
 
 
 # -- tensor splitting ---------------------------------------------------------

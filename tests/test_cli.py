@@ -9,7 +9,14 @@ import sys
 import pytest
 
 from qsymgraph.cli import main
-from qsymgraph.graphs import _iso_search, complete, n_gon, tensor_product, write_graph
+from qsymgraph.graphs import (
+    _iso_search,
+    complete,
+    disjoint_copies,
+    n_gon,
+    tensor_product,
+    write_graph,
+)
 
 
 @pytest.fixture
@@ -95,6 +102,17 @@ def test_analyze_twenty_vertices(tmp_path, capsys):
     assert doc["automorphisms"]["order"] == 240
     assert doc["classification"]["kind"] == "unknown"
     assert any("not tried: 2 x 10" in line for line in doc["classification"]["trail"])
+
+
+def test_analyze_five_pentagons_stops_at_the_cap(tmp_path, capsys):
+    # The group has order 12,000,000; the full-cycle search used to hang.
+    path = tmp_path / "5c5.graph"
+    path.write_text(write_graph(disjoint_copies(5, n_gon(5))))
+    assert main(["analyze", str(path), "--no-closure", "--json"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["automorphisms"]["order"] == 12_000_000
+    assert doc["classification"] is None
+    assert any("size cap" in w for w in doc["warnings"])
 
 
 def test_analyze_resource_cap_partial_report(pentagon_file, capsys):

@@ -23,11 +23,9 @@ from qsymgraph.graphs import (
     disjoint_copies,
     edgeless,
     eight_spoke_wheel,
-    forget_orientation,
     is_isomorphic,
     loop_counts,
     loop_rule_check,
-    merge_colors,
     metric_import,
     multi_simplex,
     n_gon,
@@ -182,16 +180,6 @@ def test_reverse_and_forget():
     r = reverse(o, o.components[0].label)
     assert r != o
     assert reverse(r, r.components[0].label) == o
-    f = forget_orientation(o, o.components[0].label)
-    assert f.components[0].kind == UNORIENTED
-    assert is_isomorphic(f, n_gon(4))
-
-
-def test_merge_colors():
-    g = multi_simplex(2, 2)
-    merged = merge_colors(g, "e1", "e2")
-    assert len(merged.components) == 1
-    assert merged.edge_count() == 6
 
 
 def test_cyclic_profile_validation():

@@ -103,17 +103,18 @@ def test_echelon_basis_rank_and_membership():
         vec = [GaussianRational.of(rng.randint(-3, 3)) for _ in range(4)]
         if basis.insert(list(vec)):
             inserted.append(vec)
-        assert basis.contains(list(vec))
+        assert not basis.insert(list(vec))
         assert basis.rank == len(inserted)
         if basis.rank == 4:
             break
     assert basis.rank == 4
-    # A random combination of inserted vectors is always contained.
+    # A random combination of inserted vectors is always in the span.
     combo = [GaussianRational.of(0)] * 4
     for vec in inserted:
         c = rng.randint(-2, 2)
         combo = [acc + GaussianRational.of(c) * v for acc, v in zip(combo, vec)]
-    assert basis.contains(combo)
+    assert not basis.insert(combo)
+    assert basis.rank == 4
 
 
 def test_echelon_basis_rejects_dependent():

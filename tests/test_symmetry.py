@@ -24,16 +24,28 @@ from qsymgraph.graphs import (
     oriented_n_gon,
     total_matrix,
 )
+from qsymgraph.linalg import ExactMatrix
 from qsymgraph.symmetry import (
     ClassicalCoaction,
+    PermutationGroup,
     automorphism_group,
     classical_series_coefficient,
     classical_series_prefix,
     compose,
     fixed_point_histogram,
     inverse,
-    invariance_by_relabeling,
 )
+
+
+def invariance_by_relabeling(group: PermutationGroup, d: ExactMatrix) -> bool:
+    """Direct route: d is invariant iff d[g(i), g(j)] = d[i, j] for all g."""
+    n = group.n
+    for p in group.elements:
+        for i in range(n):
+            for j in range(n):
+                if d[p[i], p[j]] != d[i, j]:
+                    return False
+    return True
 
 
 def _brute_force_automorphisms(g: ColoredGraph) -> set[tuple[int, ...]]:
