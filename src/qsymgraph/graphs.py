@@ -584,8 +584,18 @@ def write_graph(g: ColoredGraph) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism and canonical forms. Color values are metadata and do not
-# take part; component labels are matched structurally, not by name.
+# Isomorphism. Color values are metadata and do not take part; component
+# labels are matched structurally, not by name.
+#
+# One search core serves both is_isomorphic and
+# symmetry.automorphism_group. Each graph becomes a relation matrix, and
+# each side starts from a vertex coloring in which a pinned vertex has a
+# color of its own. The source coloring is refined once to its coarsest
+# equitable partition, recording how each round renames colors; the
+# target follows the same renamings and fails as soon as it cannot. A
+# backtracking search then maps each source vertex into the target cell
+# of its color.
+
 
 def _component_signature(c: ColorComponent) -> tuple[str, int]:
     return (c.kind, len(c.pairs))
@@ -595,7 +605,8 @@ def is_isomorphic(g: ColoredGraph, h: ColoredGraph) -> bool:
     """Vertex bijection carrying each color class of g onto one of h.
 
     Components are matched by (kind, size); for graphs with several
-    same-shape components every matching is tried.
+    same-shape components every matching is tried, each by one
+    unpinned _isomorphism search against the refinement of g.
     """
     if g.n != h.n or len(g.components) != len(h.components):
         return False
@@ -603,85 +614,128 @@ def is_isomorphic(g: ColoredGraph, h: ColoredGraph) -> bool:
     hs = sorted(h.components, key=_component_signature)
     if [_component_signature(c) for c in gs] != [_component_signature(c) for c in hs]:
         return False
+    g_rel = _Relations(g.n, gs)
+    g_colors, g_trace = _refine(g_rel, [0] * g.n)
     blocks = [list(b) for _, b in itertools.groupby(hs, key=_component_signature)]
     for choice in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        if _iso_search(g.n, gs, [c for block in choice for c in block]) is not None:
+        h_rel = _Relations(h.n, [c for block in choice for c in block])
+        if _isomorphism(g_rel, h_rel, g_colors, g_trace, [0] * h.n) is not None:
             return True
     return False
 
 
-def _adjacency_maps(n: int, comps: Sequence[ColorComponent]) -> list[dict[tuple[int, int], int]]:
-    """Per-component relation maps: 1 for edge/arc, -1 for reverse arc."""
-    out = []
-    for c in comps:
-        rel: dict[tuple[int, int], int] = {}
-        for i, j in c.pairs:
-            if c.kind == UNORIENTED:
-                rel[(i, j)] = 1
-                rel[(j, i)] = 1
-            else:
-                rel[(i, j)] = 1
-                rel[(j, i)] = -1
-        out.append(rel)
-    return out
+class _Relations:
+    """The relation of each ordered vertex pair as one code: 0 for an
+    uncovered pair, 2k + 1 for an edge of component k or an arc of
+    component k read along its direction, 2k + 2 for an arc read against
+    it. Components are numbered in the order given."""
+
+    __slots__ = ("matrix", "arcs")
+
+    def __init__(self, n: int, comps: Sequence[ColorComponent]):
+        matrix = [[0] * n for _ in range(n)]
+        for k, c in enumerate(comps):
+            back = 2 * k + (1 if c.kind == UNORIENTED else 2)
+            for i, j in c.pairs:
+                matrix[i][j] = 2 * k + 1
+                matrix[j][i] = back
+        self.matrix = matrix
+        # (code, other end) for each covered pair at each vertex.
+        self.arcs = [[(code, u) for u, code in enumerate(row) if code] for row in matrix]
 
 
-def _iso_search(
-    n: int,
-    gs: Sequence[ColorComponent],
-    hs: Sequence[ColorComponent],
-    pins: Sequence[tuple[int, int]] = (),
-) -> tuple[int, ...] | None:
-    """Backtracking search for a bijection carrying gs[k] onto hs[k].
+# One round of refinement: the renaming of signatures to colors, and the
+# resulting cell sizes by color.
+_Round = tuple[dict, list[int]]
 
-    Each (v, w) in pins forces v to map to w; pinned vertices are placed
-    first, so contradictions among the pins die at the root.
-    """
-    g_rel = _adjacency_maps(n, gs)
-    h_rel = _adjacency_maps(n, hs)
 
-    def signature(v: int, comps: Sequence[ColorComponent]) -> tuple:
-        return tuple(c.degree(v) for c in comps)
-
-    g_sig = [signature(v, gs) for v in range(n)]
-    h_sig = [signature(v, hs) for v in range(n)]
-    if sorted(g_sig) != sorted(h_sig):
-        return None
-    candidates = [
-        [w for w in range(n) if h_sig[w] == g_sig[v]] for v in range(n)
+def _signatures(rel: _Relations, colors: Sequence[int]) -> list[tuple]:
+    return [
+        (colors[v], tuple(sorted([(code, colors[u]) for code, u in arcs])))
+        for v, arcs in enumerate(rel.arcs)
     ]
-    for v, w in pins:
-        candidates[v] = [w] if w in candidates[v] else []
-    order = sorted(range(n), key=lambda v: (len(candidates[v]), v))
+
+
+def _cell_sizes(colors: Sequence[int], count: int) -> list[int]:
+    sizes = [0] * count
+    for c in colors:
+        sizes[c] += 1
+    return sizes
+
+
+def _refine(rel: _Relations, colors: Sequence[int]) -> tuple[list[int], list[_Round]]:
+    """The coarsest equitable refinement of a vertex coloring (1-dim
+    Weisfeiler-Leman) and its trace. Each round gives a vertex its color
+    together with the multiset of (code, color) over its covered pairs,
+    renamed by rank; the rounds stop once no cell splits."""
+    trace: list[_Round] = []
+    while True:
+        sigs = _signatures(rel, colors)
+        table = {s: k for k, s in enumerate(sorted(set(sigs)))}
+        new = [table[s] for s in sigs]
+        trace.append((table, _cell_sizes(new, len(table))))
+        if len(table) == len(set(colors)):
+            return new, trace
+        colors = new
+
+
+def _follow(rel: _Relations, colors: Sequence[int], trace: list[_Round]) -> list[int] | None:
+    """Refine a coloring of another graph by the renamings of a trace, so
+    that colors mean the same on both sides. None once a signature is
+    missing from a round's table or the cell sizes differ: an isomorphism
+    carries colors onto colors in every round, so none exists then."""
+    for table, sizes in trace:
+        new = [table.get(s) for s in _signatures(rel, colors)]
+        if None in new or _cell_sizes(new, len(sizes)) != sizes:
+            return None
+        colors = new
+    return colors
+
+
+def _isomorphism(
+    g_rel: _Relations,
+    h_rel: _Relations,
+    g_colors: Sequence[int],
+    g_trace: list[_Round],
+    h_colors: Sequence[int],
+) -> tuple[int, ...] | None:
+    """A bijection p with h_rel[p(u)][p(v)] = g_rel[u][v] for all pairs
+    that carries each vertex to one of the same color, or None.
+
+    g_colors and g_trace come from _refine on the source side; h_colors
+    is the unrefined target coloring, which follows the trace first.
+    Vertices are placed smallest cell first, each checked against every
+    vertex placed before it.
+    """
+    h_colors = _follow(h_rel, h_colors, g_trace)
+    if h_colors is None:
+        return None
+    n = len(g_colors)
+    cells: list[list[int]] = [[] for _ in g_trace[-1][1]]
+    for u, c in enumerate(h_colors):
+        cells[c].append(u)
+    order = sorted(range(n), key=lambda v: (len(cells[g_colors[v]]), v))
+    a, b = g_rel.matrix, h_rel.matrix
     image = [-1] * n
     used = [False] * n
 
-    def consistent(v: int, w: int, depth: int) -> bool:
-        for k, rel in enumerate(g_rel):
-            hrel = h_rel[k]
-            for prev in order[:depth]:
-                pw = image[prev]
-                if rel.get((v, prev), 0) != hrel.get((w, pw), 0):
-                    return False
-                if rel.get((prev, v), 0) != hrel.get((pw, w), 0):
-                    return False
-        return True
-
-    def rec(depth: int) -> bool:
+    def extend(depth: int) -> bool:
         if depth == n:
             return True
         v = order[depth]
-        for w in candidates[v]:
+        row = a[v]
+        placed = order[:depth]
+        for w in cells[g_colors[v]]:
             if used[w]:
                 continue
-            if not consistent(v, w, depth):
+            target = b[w]
+            if any(row[p] != target[image[p]] for p in placed):
                 continue
             image[v] = w
             used[w] = True
-            if rec(depth + 1):
+            if extend(depth + 1):
                 return True
-            image[v] = -1
             used[w] = False
         return False
 
-    return tuple(image) if rec(0) else None
+    return tuple(image) if extend(0) else None

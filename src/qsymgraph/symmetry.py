@@ -3,11 +3,22 @@
 Permutations are tuples p of length n with p[i] = image of i. A group is
 kept as its stabilizer chain along the point sequence 0, 1, ..., n-1:
 transversal i holds one element for each image of i under the pointwise
-stabilizer of 0, ..., i-1, the identity first. Every element factors
+stabilizer G_i of 0, ..., i-1, the identity first. Every element factors
 uniquely as t_0 ∘ t_1 ∘ ... ∘ t_(n-1) with t_i from transversal i, so the
-chain gives the order as a product of transversal sizes, a generating
-set, and, on demand, the element table (Seress, Permutation Group
-Algorithms, ch. 4).
+chain gives the order as a product of transversal sizes and, on demand,
+the element table (Seress, Permutation Group Algorithms, ch. 4).
+
+automorphism_group builds the chain bottom-up, from stage n-1 to stage 0,
+so that stage i starts with generators of G_(i+1). Every generator found
+so far fixes 0, ..., i-1 and so lies in G_i, and two rules prune the
+searches for an automorphism in G_i sending i to w. A w already in the
+orbit of i under the generators is reached without a search. A w in the
+orbit of a target w' that failed is skipped: h with h(w') = w and t in
+G_i with t(i) = w would give h^-1 ∘ t in G_i sending i to w'. Each
+search refines the vertex coloring with 0, ..., i-1 pinned and i sent to
+w, fails at once when the target side cannot follow the refinement of
+the source side (computed once per stage), and maps each vertex only
+into its own cell; see graphs._isomorphism.
 """
 from __future__ import annotations
 
@@ -18,7 +29,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .graphs import ColoredGraph, _iso_search
+from .graphs import ColoredGraph, _isomorphism, _refine, _Relations
 from .linalg import ExactMatrix
 from .series import RationalSum
 
@@ -43,15 +54,24 @@ class PermutationGroup:
     """A group given by its stabilizer chain; transversals[i] starts with
     the identity, and each later entry fixes 0, ..., i-1 and moves i.
 
+    generators are strong generators: those in G_i generate G_i for every
+    i, and all of them together generate the group. automorphism_group
+    passes the automorphisms its searches found, each transversal element
+    being a product of them.
+
     The element table is built only on demand because it can dwarf the
     chain."""
 
-    def __init__(self, n: int, transversals: tuple[tuple[Permutation, ...], ...]):
+    def __init__(
+        self,
+        n: int,
+        transversals: tuple[tuple[Permutation, ...], ...],
+        generators: tuple[Permutation, ...],
+    ):
         self.n = n
         self.transversals = transversals
         self.order = math.prod(len(t) for t in transversals)
-        # The non-identity transversal elements, stage by stage.
-        self.generators = tuple(p for t in transversals for p in t[1:])
+        self.generators = generators
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -89,24 +109,76 @@ def automorphism_group(g: ColoredGraph) -> PermutationGroup:
     asks for the same group from the command line, from classify and from
     the closure engine.
 
-    Works down the stabilizer chain of the point sequence 0, 1, ..., n-1:
-    at stage i one pinned search per candidate image w of i finds an
-    element sending i to w while fixing everything earlier, if one exists.
-    Only w > i can be hit, since each earlier point is its own image. The
-    hits, in order of w, make up transversal i.
+    Builds the stabilizer chain bottom-up. Stage i holds generators of
+    G_(i+1) from the later stages and tries the targets w > i in the
+    cell of i in ascending order, skipping each w already in the orbit of
+    i and each w in the orbit of a target that failed, both under the
+    generators found so far (module docstring). A search that succeeds
+    adds its automorphism to the generators and grows the orbit. Each
+    transversal element is read off the orbit's Schreier tree as a
+    product of generators. The searches share one relation matrix and
+    the refined colorings of the chain's stages (graphs._isomorphism).
     """
-    comps = list(g.components)
-    identity = tuple(range(g.n))
-    transversals = []
-    for i in range(g.n):
-        pins = [(v, v) for v in range(i)]
-        stage = [identity]
-        for w in range(i + 1, g.n):
-            hit = _iso_search(g.n, comps, comps, pins=pins + [(i, w)])
-            if hit is not None:
-                stage.append(hit)
-        transversals.append(tuple(stage))
-    return PermutationGroup(g.n, tuple(transversals))
+    n = g.n
+    rel = _Relations(n, g.components)
+    # cells[i] is the equitable coloring with 0, ..., i-1 individualized,
+    # and traces[i] refines cells[i] with i individualized into
+    # cells[i + 1]. They stop at the first discrete coloring: every later
+    # stage has i alone in its cell and no target.
+    colors, _ = _refine(rel, [0] * n)
+    cells = [colors]
+    traces = []
+    while max(colors) < n - 1:
+        start = colors[:]
+        start[len(traces)] = n
+        colors, trace = _refine(rel, start)
+        cells.append(colors)
+        traces.append(trace)
+    generators: list[Permutation] = []
+    transversals: list[tuple[Permutation, ...]] = []
+    for i in reversed(range(n)):
+        cell = cells[min(i, len(traces))]
+        tree: dict = {i: None}
+        failed: set[int] = set()
+        for w in range(i + 1, n):
+            if cell[w] != cell[i] or w in tree or w in failed:
+                continue
+            target = cell[:]
+            target[w] = n
+            hit = _isomorphism(rel, rel, cells[i + 1], traces[i], target)
+            if hit is None:
+                failed.update(_schreier_tree(w, generators))
+            else:
+                generators.append(hit)
+                tree = _schreier_tree(i, generators)
+        transversals.append(_transversal(n, tree))
+    return PermutationGroup(n, tuple(reversed(transversals)), tuple(generators))
+
+
+def _schreier_tree(root: int, generators: list[Permutation]) -> dict:
+    """The orbit of root in breadth-first order, each point w mapped to
+    (s, p) with s a generator and s[p] = w, and root mapped to None."""
+    tree: dict[int, tuple[Permutation, int] | None] = {root: None}
+    queue = [root]
+    for p in queue:
+        for s in generators:
+            if s[p] not in tree:
+                tree[s[p]] = (s, p)
+                queue.append(s[p])
+    return tree
+
+
+def _transversal(n: int, tree: dict) -> tuple[Permutation, ...]:
+    """One element u_w sending the root to each orbit point w, in order of
+    w: the identity for the root, s ∘ u_p for each tree edge (s, p)."""
+    reps: dict[int, Permutation] = {}
+    for w, edge in tree.items():
+        if edge is None:
+            reps[w] = tuple(range(n))
+        else:
+            s, p = edge
+            reps[w] = compose(s, reps[p])
+    return tuple(reps[w] for w in sorted(reps))
 
 
 def fixed_point_histogram(group: PermutationGroup) -> dict[int, int]:

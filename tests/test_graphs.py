@@ -1,6 +1,7 @@
 """Colored graph model: parsing, constructors, moves, isomorphism."""
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from qsymgraph.graphs import (
     ORIENTED,
     UNORIENTED,
+    ColorComponent,
     ColoredGraph,
     CyclicProfile,
     GraphError,
@@ -229,6 +231,119 @@ def test_is_isomorphic_negative():
     assert not is_isomorphic(nine_star(1), nine_star(2))
     assert not is_isomorphic(multi_simplex(2, 4), multi_simplex(4, 2))
     assert not is_isomorphic(oriented_n_gon(3), complete(3))
+
+
+def _random_colored(rng: random.Random, n: int) -> ColoredGraph:
+    """1-3 colors, each edges or arcs; every pair gets one color or none."""
+    kinds = [rng.choice((UNORIENTED, ORIENTED)) for _ in range(rng.randint(1, 3))]
+    pairs: list[set[tuple[int, int]]] = [set() for _ in kinds]
+    for i in range(n):
+        for j in range(i + 1, n):
+            k = rng.randint(0, len(kinds))
+            if k:
+                flip = kinds[k - 1] == ORIENTED and rng.random() < 0.5
+                pairs[k - 1].add((j, i) if flip else (i, j))
+    comps = tuple(
+        ColorComponent(f"c{k}", kind, frozenset(p))
+        for k, (kind, p) in enumerate(zip(kinds, pairs))
+        if p
+    )
+    return ColoredGraph(n, comps)
+
+
+def _shuffled(g: ColoredGraph, rng: random.Random) -> ColoredGraph:
+    """A relabeled copy whose components come in a new order under new
+    names."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    comps = list(_relabel(g, perm).components)
+    rng.shuffle(comps)
+    return ColoredGraph(
+        g.n, tuple(ColorComponent(f"d{k}", c.kind, c.pairs) for k, c in enumerate(comps))
+    )
+
+
+def _moved(g: ColoredGraph, rng: random.Random) -> ColoredGraph | None:
+    """A copy with one pair of one component moved to an uncovered pair,
+    or None when every pair is covered or no component has a pair."""
+    free = [
+        (i, j)
+        for i in range(g.n)
+        for j in range(i + 1, g.n)
+        if frozenset((i, j)) not in g.covered_pairs()
+    ]
+    if not free or not g.components:
+        return None
+    k = rng.randrange(len(g.components))
+    c = g.components[k]
+    pairs = set(c.pairs)
+    pairs.remove(rng.choice(sorted(pairs)))
+    pairs.add(rng.choice(free))
+    moved = ColorComponent(c.label, c.kind, frozenset(pairs))
+    return ColoredGraph(g.n, g.components[:k] + (moved,) + g.components[k + 1 :])
+
+
+def test_is_isomorphic_matches_networkx():
+    nx = pytest.importorskip("networkx")
+
+    def digraph(g: ColoredGraph, colors: list[int]):
+        """Edges in both directions and arcs in theirs, each tagged with
+        the color colors[k] of its component k."""
+        d = nx.DiGraph()
+        d.add_nodes_from(range(g.n))
+        for c, color in zip(g.components, colors):
+            for i, j in c.pairs:
+                d.add_edge(i, j, color=color)
+                if c.kind == UNORIENTED:
+                    d.add_edge(j, i, color=color)
+        return d
+
+    def vf2(g: ColoredGraph, h: ColoredGraph) -> bool:
+        """Isomorphic under some matching of the components of g with
+        those of h, by networkx's VF2 with colored edges."""
+        if g.n != h.n or len(g.components) != len(h.components):
+            return False
+        left = digraph(g, list(range(len(g.components))))
+        return any(
+            nx.is_isomorphic(
+                left,
+                digraph(h, list(match)),
+                edge_match=lambda a, b: a["color"] == b["color"],
+            )
+            for match in itertools.permutations(range(len(h.components)))
+        )
+
+    rng = random.Random(2024)
+    outcomes = []
+    for _ in range(150):
+        g = _random_colored(rng, rng.randint(1, 8))
+        h = _shuffled(g, rng)
+        assert is_isomorphic(g, h) and vf2(g, h), g
+        moved = _moved(g, rng)
+        if moved is not None:
+            outcomes.append(vf2(g, moved))
+            assert is_isomorphic(g, moved) == outcomes[-1], (g, moved)
+    assert 0 < sum(outcomes) < len(outcomes)
+
+
+def test_is_isomorphic_separates_regular_graphs():
+    # Color refinement cannot split a regular graph, so each of these
+    # searches runs on one cell and rests on its pair checks alone.
+    from qsymgraph.classify import regular_graph_reps
+
+    rng = random.Random(5)
+    checked = 0
+    for n in range(3, 10):
+        reps = regular_graph_reps(n)
+        degree = [len(r.components[0].pairs) if r.components else 0 for r in reps]
+        for a, g in enumerate(reps):
+            for b, h in enumerate(reps):
+                if degree[a] == degree[b]:
+                    perm = list(range(n))
+                    rng.shuffle(perm)
+                    assert is_isomorphic(g, _relabel(h, perm)) == (a == b), (g, h)
+                    checked += a != b
+    assert checked > 100
 
 
 def test_metric_space_validation():

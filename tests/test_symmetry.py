@@ -1,22 +1,31 @@
 """Automorphism groups, Burnside statistics, classical coactions."""
 from __future__ import annotations
 
+import importlib
 import itertools
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 import pytest
 
+from qsymgraph.classify import regular_graph_reps
 from qsymgraph.graphs import (
+    _single,
     ORIENTED,
     UNORIENTED,
     ColorComponent,
     ColoredGraph,
+    CyclicProfile,
+    complement,
     complete,
     cube,
+    cyclic_from_profile,
+    disjoint_copies,
     edgeless,
     eight_spoke_wheel,
     multi_simplex,
@@ -26,6 +35,7 @@ from qsymgraph.graphs import (
 )
 from qsymgraph.linalg import ExactMatrix
 from qsymgraph.symmetry import (
+    _ELEMENT_CAP,
     ClassicalCoaction,
     PermutationGroup,
     automorphism_group,
@@ -265,3 +275,285 @@ def test_random_relabeling_preserves_group_order():
             )
             comps.append(type(c)(c.label, c.kind, pairs, c.value))
         assert automorphism_group(ColoredGraph(g.n, tuple(comps))).order == base_order
+
+
+# The pinned searches automorphism_group ran before it built the chain
+# bottom-up, kept verbatim as a test-only reference, except that the
+# builder is renamed pinned_search_group without its lru_cache and its
+# last line passes the transversal elements as the generators, which is
+# what the old constructor took them to be.
+def _adjacency_maps(n: int, comps: Sequence[ColorComponent]) -> list[dict[tuple[int, int], int]]:
+    """Per-component relation maps: 1 for edge/arc, -1 for reverse arc."""
+    out = []
+    for c in comps:
+        rel: dict[tuple[int, int], int] = {}
+        for i, j in c.pairs:
+            if c.kind == UNORIENTED:
+                rel[(i, j)] = 1
+                rel[(j, i)] = 1
+            else:
+                rel[(i, j)] = 1
+                rel[(j, i)] = -1
+        out.append(rel)
+    return out
+
+
+def _iso_search(
+    n: int,
+    gs: Sequence[ColorComponent],
+    hs: Sequence[ColorComponent],
+    pins: Sequence[tuple[int, int]] = (),
+) -> tuple[int, ...] | None:
+    """Backtracking search for a bijection carrying gs[k] onto hs[k].
+
+    Each (v, w) in pins forces v to map to w; pinned vertices are placed
+    first, so contradictions among the pins die at the root.
+    """
+    g_rel = _adjacency_maps(n, gs)
+    h_rel = _adjacency_maps(n, hs)
+
+    def signature(v: int, comps: Sequence[ColorComponent]) -> tuple:
+        return tuple(c.degree(v) for c in comps)
+
+    g_sig = [signature(v, gs) for v in range(n)]
+    h_sig = [signature(v, hs) for v in range(n)]
+    if sorted(g_sig) != sorted(h_sig):
+        return None
+    candidates = [
+        [w for w in range(n) if h_sig[w] == g_sig[v]] for v in range(n)
+    ]
+    for v, w in pins:
+        candidates[v] = [w] if w in candidates[v] else []
+    order = sorted(range(n), key=lambda v: (len(candidates[v]), v))
+    image = [-1] * n
+    used = [False] * n
+
+    def consistent(v: int, w: int, depth: int) -> bool:
+        for k, rel in enumerate(g_rel):
+            hrel = h_rel[k]
+            for prev in order[:depth]:
+                pw = image[prev]
+                if rel.get((v, prev), 0) != hrel.get((w, pw), 0):
+                    return False
+                if rel.get((prev, v), 0) != hrel.get((pw, w), 0):
+                    return False
+        return True
+
+    def rec(depth: int) -> bool:
+        if depth == n:
+            return True
+        v = order[depth]
+        for w in candidates[v]:
+            if used[w]:
+                continue
+            if not consistent(v, w, depth):
+                continue
+            image[v] = w
+            used[w] = True
+            if rec(depth + 1):
+                return True
+            image[v] = -1
+            used[w] = False
+        return False
+
+    return tuple(image) if rec(0) else None
+
+
+def pinned_search_group(g: ColoredGraph) -> PermutationGroup:
+    """All vertex permutations preserving every color component setwise
+    (arcs with their orientation).
+
+    Memoized on the graph, which is frozen and hashable: one analysis
+    asks for the same group from the command line, from classify and from
+    the closure engine.
+
+    Works down the stabilizer chain of the point sequence 0, 1, ..., n-1:
+    at stage i one pinned search per candidate image w of i finds an
+    element sending i to w while fixing everything earlier, if one exists.
+    Only w > i can be hit, since each earlier point is its own image. The
+    hits, in order of w, make up transversal i.
+    """
+    comps = list(g.components)
+    identity = tuple(range(g.n))
+    transversals = []
+    for i in range(g.n):
+        pins = [(v, v) for v in range(i)]
+        stage = [identity]
+        for w in range(i + 1, g.n):
+            hit = _iso_search(g.n, comps, comps, pins=pins + [(i, w)])
+            if hit is not None:
+                stage.append(hit)
+        transversals.append(tuple(stage))
+    return PermutationGroup(g.n, tuple(transversals), tuple(p for t in transversals for p in t[1:]))
+
+
+def _codes(n: int, rows: np.ndarray) -> np.ndarray:
+    """Each permutation row as one integer, base n."""
+    return rows.astype(np.int64) @ (n ** np.arange(n, dtype=np.int64))
+
+
+def _generates(generators, reference: PermutationGroup) -> bool:
+    """Whether the closure of generators under composition is the group
+    of reference.
+
+    Each generator must be an element. Then the closure is a subgroup,
+    and it is the whole group when, for every i, the generators fixing
+    0, ..., i-1 move i around its whole orbit under the stabilizer of
+    0, ..., i-1 (read off reference.transversals[i]): by induction from
+    the last stage down, the closure's stabilizer of 0, ..., i-1 has at
+    least the order of the group's.
+    """
+    n = reference.n
+    members = set(_codes(n, reference.table).tolist())
+    if not set(_codes(n, np.array(generators, dtype=np.int64).reshape(-1, n)).tolist()) <= members:
+        return False
+    for i, stage in enumerate(reference.transversals):
+        fixing = [s for s in generators if all(s[v] == v for v in range(i))]
+        orbit = {i}
+        queue = [i]
+        for p in queue:
+            for s in fixing:
+                if s[p] not in orbit:
+                    orbit.add(s[p])
+                    queue.append(s[p])
+        if orbit != {t[i] for t in stage}:
+            return False
+    return True
+
+
+def seeded_graphs(count: int, max_n: int, seed: int) -> list[ColoredGraph]:
+    """Colored graphs with 1-3 colors, each edges or arcs, drawn so that a
+    random permutation sigma is an automorphism: each orbit of vertex
+    pairs under sigma gets one random color or none. An oriented color
+    takes an orbit only when no power of sigma reverses its pairs."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        points = list(range(n))
+        rng.shuffle(points)
+        sigma = list(range(n))
+        start = 0
+        while start < n:
+            cycle = points[start : start + rng.randint(1, n - start)]
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                sigma[a] = b
+            start += len(cycle)
+        kinds = [rng.choice((UNORIENTED, ORIENTED)) for _ in range(rng.randint(1, 3))]
+        pairs: list[set[tuple[int, int]]] = [set() for _ in kinds]
+        seen: set[tuple[int, int]] = set()
+        for i, j in itertools.permutations(range(n), 2):
+            if (i, j) in seen:
+                continue
+            orbit = [(i, j)]
+            while (sigma[orbit[-1][0]], sigma[orbit[-1][1]]) != (i, j):
+                orbit.append((sigma[orbit[-1][0]], sigma[orbit[-1][1]]))
+            seen.update(orbit)
+            seen.update((b, a) for a, b in orbit)
+            k = rng.randint(0, len(kinds))
+            if not k:
+                continue
+            if kinds[k - 1] == UNORIENTED:
+                pairs[k - 1] |= {(min(a, b), max(a, b)) for a, b in orbit}
+            elif (j, i) not in orbit:
+                pairs[k - 1] |= set(orbit)
+        comps = tuple(
+            ColorComponent(f"c{k}", kind, frozenset(p))
+            for k, (kind, p) in enumerate(zip(kinds, pairs))
+            if p
+        )
+        out.append(ColoredGraph(n, comps))
+    return out
+
+
+def circulants(max_n: int) -> list[ColoredGraph]:
+    """Every one-color circulant on at most max_n vertices, by connection
+    set {k, n - k} for each chosen 1 <= k <= n/2."""
+    out = []
+    for n in range(1, max_n + 1):
+        for chosen in itertools.product((0, 1), repeat=n // 2):
+            exponents = [k + 1 for k, bit in enumerate(chosen) if bit]
+            out.append(cyclic_from_profile(CyclicProfile.from_exponents(n, exponents)))
+    return out
+
+
+def test_bottom_up_chain_matches_the_pinned_searches():
+    inputs = []
+    for n in range(1, 10):
+        for rep in regular_graph_reps(n):
+            inputs += [rep, complement(rep)]
+    inputs += circulants(12)
+    inputs += seeded_graphs(300, 9, seed=11)
+    transitive = large = 0
+    for g in inputs:
+        new = automorphism_group.__wrapped__(g)
+        old = pinned_search_group(g)
+        assert new.order == old.order, g
+        assert new.is_transitive() == old.is_transitive(), g
+        transitive += new.is_transitive()
+        if new.order > _ELEMENT_CAP:
+            large += 1
+            continue
+        # set(elements), compared as sorted codes: S9 has 362,880 of them.
+        assert np.array_equal(np.sort(_codes(g.n, new.table)), np.sort(_codes(g.n, old.table))), g
+        assert fixed_point_histogram(new) == fixed_point_histogram(old), g
+        assert _generates(new.generators, old), g
+    # The inputs reach rigid, transitive and over-cap groups.
+    assert len(inputs) > 500 and 100 < transitive < len(inputs) and large > 0
+
+
+def test_strong_generators_are_few():
+    # The transversal elements of the chain are products of the found
+    # generators; for the symmetric groups one transposition per stage.
+    for g in (complete(9), edgeless(9), n_gon(8), cube()):
+        group = automorphism_group(g)
+        assert len(group.generators) < sum(len(t) - 1 for t in group.transversals)
+        assert all(p != tuple(range(g.n)) for p in group.generators)
+
+
+def _counted_build(monkeypatch, g: ColoredGraph) -> tuple[PermutationGroup, int, int]:
+    """An uncached build of Aut(g) with its searches and successful
+    searches counted."""
+    symmetry = importlib.import_module("qsymgraph.symmetry")
+    search = symmetry._isomorphism
+    counts = [0, 0]
+
+    def counting(*args):
+        hit = search(*args)
+        counts[0] += 1
+        counts[1] += hit is not None
+        return hit
+
+    with monkeypatch.context() as m:
+        m.setattr(symmetry, "_isomorphism", counting)
+        group = automorphism_group.__wrapped__(g)
+    return group, counts[0], counts[1]
+
+
+@pytest.mark.parametrize("seed", [4, 2])
+def test_random_cubic_graphs_build_quickly(seed, monkeypatch):
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    h = nx.random_regular_graph(3, 20, seed=seed)
+    g = _single(20, h.edges())
+    start = time.perf_counter()
+    group, _, _ = _counted_build(monkeypatch, g)
+    # The pinned searches took 13.4 s (seed 4) and 4.3 s (seed 2) here.
+    assert time.perf_counter() - start < 1.0
+    assert group.order == sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
+
+
+@pytest.mark.parametrize("g", [complete(9), edgeless(9)], ids=["k9", "edgeless9"])
+def test_symmetric_groups_need_one_search_per_stage(g, monkeypatch):
+    group, searches, hits = _counted_build(monkeypatch, g)
+    assert group.order == math.factorial(9)
+    assert hits <= g.n - 1 and searches == hits
+
+
+def test_five_pentagons_need_few_searches(monkeypatch):
+    g = disjoint_copies(5, n_gon(5))
+    group, searches, _ = _counted_build(monkeypatch, g)
+    # (10^5) * 5! automorphisms; the pinned scheme ran n(n-1)/2 = 300 searches.
+    assert group.order == 10**5 * 120
+    assert searches <= 30
