@@ -24,6 +24,12 @@ product-sum with a longer inner dimension (basis reductions, letter
 products) is split into chunks of at most _CHUNK terms and reduced
 modulo p after each chunk.
 
+On most levels a reduction costs numpy's fixed cost per call more than
+arithmetic, so _mod reduces a stack of at most _REMAINDER_MAX elements
+with one exact np.remainder call, and a larger one by a floor-and-correct
+path of about ten calls that is several times cheaper per element (the
+crossover was measured at 700-900 elements on a 2-vCPU host).
+
 Candidates are reduced a block at a time, in the manner of the blocked
 word-size prime-field elimination of Dumas, Giorgi and Pernet (FFLAS and
 FFPACK, ACM TOMS 2008). Each level keeps a FIFO queue; the engine takes
@@ -85,7 +91,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, repeat
 
 import numpy as np
 
@@ -95,9 +101,12 @@ from .symmetry import PermutationGroup, automorphism_group
 
 _PRIMES = np.array([2097143.0, 2097133.0])
 _INVERSES = 1.0 / _PRIMES
+# The primes and their inverses shaped against a stack of 1, 2, 3 or 4 axes.
+_PRIME_AXES = [tuple(v.reshape((2,) + (1,) * k) for v in (_PRIMES, _INVERSES)) for k in range(4)]
 # Products of residues that one float64 sum may add to a residue exactly.
 _CHUNK = min(2**53 // (int(p) - 1) ** 2 for p in _PRIMES) - 1
 _BLOCK = 64  # queue items reduced together
+_REMAINDER_MAX = 800  # largest stack _mod reduces with one np.remainder call
 _ELEMENT_BUDGET = 1 << 20  # float64 elements in one letter-product temporary
 _LETTER_ALL_MAX = 3  # levels up to here treat every basis vector as a letter
 
@@ -110,45 +119,40 @@ class ResourceCapError(ValueError):
     """A configured size cap refused the computation before it started."""
 
 
-def _digit_table(n: int, m: int, codes: np.ndarray) -> np.ndarray:
-    if m == 0:
-        return np.zeros((len(codes), 0), dtype=np.int64)
-    weights = n ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    return (codes[:, None] // weights[None, :]) % n
+def _reversed_codes(codes: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The m-digit base-n codes with their digits in reverse order."""
+    out = np.zeros_like(codes)
+    for _ in range(m):
+        codes, digit = np.divmod(codes, n)
+        out = out * n + digit
+    return out
 
 
 class _Level:
-    """Orbit structure of the automorphism group acting on m-tuples."""
+    """Orbit structure of the automorphism group acting on m-tuples.
 
-    __slots__ = ("n", "m", "size", "reps", "R", "orbit_dense", "digits", "weights")
+    A tuple is coded base n, its first vertex the most significant digit;
+    perms gives each generator's action on the codes."""
 
-    def __init__(self, n: int, m: int, gens: list[np.ndarray]):
-        self.n = n
+    __slots__ = ("m", "reps", "R", "orbit_dense")
+
+    def __init__(self, n: int, m: int, perms: list[np.ndarray]):
         self.m = m
-        self.size = n**m
-        codes = np.arange(self.size, dtype=np.int64)
-        self.weights = n ** np.arange(m - 1, -1, -1, dtype=np.int64)
-        labels = codes
-        if gens and m > 0:
-            digits_all = _digit_table(n, m, codes)
-            perms = [g[digits_all] @ self.weights for g in gens]
-            labels = codes.copy()
-            changed = True
-            while changed:
-                changed = False
+        labels = np.arange(n**m, dtype=np.int64)
+        if perms and m > 0:
+            # Labels only fall, to codes in the same orbit; the one fixed
+            # point, whatever the order of the updates, is the orbit minimum.
+            while True:
+                merged = labels
                 for p in perms:
-                    merged = np.minimum(labels, labels[p])
-                    if not np.array_equal(merged, labels):
-                        labels = merged
-                        changed = True
-                shortcut = labels[labels]
-                if not np.array_equal(shortcut, labels):
-                    labels = shortcut
-                    changed = True
+                    merged = np.minimum(merged, merged[p])
+                merged = merged[merged]
+                if np.array_equal(merged, labels):
+                    break
+                labels = merged
         self.reps = np.unique(labels)
         self.R = len(self.reps)
         self.orbit_dense = np.searchsorted(self.reps, labels).astype(np.int64)
-        self.digits = _digit_table(n, m, self.reps)
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +161,10 @@ class _Level:
 # A block of k vectors is a float64 array of shape (2, k, R), the leading
 # axis being the prime, holding residues in [0, p) for the primes
 # 2097143 and 2097133, both below 2^21. Any sum of _CHUNK products of two
-# residues, added to a residue, stays below 2^53 and so is computed
-# exactly in float64; products with a longer inner dimension are summed
-# _CHUNK terms at a time and reduced in between (_matmul_mod).
+# residues, added to a residue, stays below 2^53 - 2^22, so it is computed
+# exactly in float64 and _mod reduces it exactly; products with a longer
+# inner dimension are summed _CHUNK terms at a time and reduced in
+# between (_submul_mod).
 #
 # Basis rows are kept pivot-normalized to 1 with pivot columns cleared
 # everywhere else (reduced row echelon form). Inserting a block then
@@ -173,16 +178,23 @@ class _Level:
 
 
 def _mod(x: np.ndarray) -> np.ndarray:
-    """Reduce a stack of integers below 2^53 in magnitude, the leading axis
-    being the prime, into [0, p) in place.
+    """Reduce a stack of integers at most 2^53 - 2^22 in magnitude, the
+    leading axis being the prime, into [0, p) in place.
 
-    The quotient x * (1/p) is off by less than 2^-20, so its floor is off
-    by at most one and a single correction either way finishes the job;
-    this is several times faster than np.remainder on floats.
+    A stack of at most _REMAINDER_MAX elements takes one np.remainder
+    call. On float64 integers it is exact (it is fmod, corrected by p when
+    the sign differs) and returns +0.0 for a multiple of p, never -0.0, so
+    equal residues have equal bytes. Larger stacks take the floor path:
+    the quotient x * (1/p) is off by less than 2^-20, so its floor is off
+    by at most one, its multiple of p lies within 2p of x and so is exact,
+    and a single correction either way finishes the job. That costs about
+    ten ufunc calls, but per element it is several times cheaper than
+    np.remainder.
     """
-    shape = (2,) + (1,) * (x.ndim - 1)
-    p = _PRIMES.reshape(shape)
-    q = np.floor(x * _INVERSES.reshape(shape))
+    p, inverse = _PRIME_AXES[x.ndim - 1]
+    if x.size <= _REMAINDER_MAX:
+        return np.remainder(x, p, out=x)
+    q = np.floor(x * inverse)
     q *= p
     x -= q
     np.add(x, p, out=x, where=x < 0)
@@ -190,18 +202,13 @@ def _mod(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _matmul_mod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b modulo each prime, for stacks a (2, k, r) and b (2, r, c)."""
-    out = np.zeros((2, a.shape[1], b.shape[2]))
+def _submul_mod(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x - a @ b modulo each prime into x, for a stack x (2, k, c) of
+    residues and stacks a (2, k, r) and b (2, r, c) of residues."""
     for s in range(0, a.shape[2], _CHUNK):
-        out += a[:, :, s : s + _CHUNK] @ b[:, s : s + _CHUNK]
-        _mod(out)
-    return out
-
-
-def _lead(row: np.ndarray) -> int:
-    nz = np.flatnonzero(row)
-    return int(nz[0]) if len(nz) else -1
+        x -= a[:, :, s : s + _CHUNK] @ b[:, s : s + _CHUNK]
+        _mod(x)
+    return x
 
 
 class _ModBasis:
@@ -219,16 +226,18 @@ class _ModBasis:
         return self.rank >= self.width
 
     def insert_block(self, block: np.ndarray) -> list[int]:
-        """Reduce a block (2, k, width) against the basis and adjoin its
-        independent rows.
+        """Reduce a block (2, k, width) of residues against the basis and
+        adjoin its independent rows.
 
         Rows are taken in block order; the result lists the block indices
         of the rows adjoined, which become basis rows rank, rank + 1, ...
         A reduced row vanishes in every pivot column, so the elimination
-        works on the free columns only. Within the block, the updates to
-        the unprocessed rows are left unreduced: each adds less than
-        (p-1)^2 in magnitude, so the block is reduced after every _CHUNK
-        adjoined rows and each row is reduced before it is examined.
+        works on the free columns only. Each surviving row is reduced when
+        it is examined; both primes' leads come from one nonzero mask, and
+        a row with a lead is scaled to 1 there by the two modular inverses
+        at once, then cleared from every other row of the block. Those
+        updates are left unreduced: each adds less than (p-1)^2 in
+        magnitude, so the block is reduced after every _CHUNK adjoined rows.
         """
         if self.saturated:
             return []
@@ -236,18 +245,22 @@ class _ModBasis:
         free = np.flatnonzero(~self.pivotal)
         cand = block[:, :, free]
         if r:
-            cand -= _matmul_mod(block[:, :, self.pivcols], self.rows[:, :r, free])
-            _mod(cand)
+            _submul_mod(cand, block[:, :, self.pivcols], self.rows[:, :r, free])
         live = np.flatnonzero(cand.any(axis=(0, 2)))
         cand = cand[:, live]
+        p0, p1 = (int(p) for p in _PRIMES)
         accepted: list[int] = []
         leads: list[int] = []
         for i in range(len(live)):
             if r + len(accepted) >= self.width:
                 break
-            row = cand[:, i]
-            _mod(row)
-            lead0, lead1 = _lead(row[0]), _lead(row[1])
+            row = _mod(cand[:, i])
+            nz = row != 0
+            lead0, lead1 = nz.argmax(axis=1).tolist()
+            if not nz[0, lead0]:
+                lead0 = -1
+            if not nz[1, lead1]:
+                lead1 = -1
             if lead0 != lead1:
                 cols = [int(free[c]) if c >= 0 else -1 for c in (lead0, lead1)]
                 raise ModularMismatchError(
@@ -257,9 +270,9 @@ class _ModBasis:
             if lead0 < 0:
                 continue
             col = lead0
-            for k in range(2):
-                p = int(_PRIMES[k])
-                row[k] = row[k] * pow(int(row[k, col]), p - 2, p) % p
+            v0, v1 = row[:, col].tolist()
+            row *= [[pow(int(v0), -1, p0)], [pow(int(v1), -1, p1)]]
+            _mod(row)
             c = _mod(cand[:, :, col].copy())
             c[:, i] = 0
             cand -= c[:, :, None] * row[:, None, :]
@@ -272,8 +285,7 @@ class _ModBasis:
         new = _mod(cand[:, accepted])
         if r:
             old = self.rows[:, :r, free]
-            old -= _matmul_mod(old[:, :, leads], new)
-            self.rows[:, :r, free] = _mod(old)
+            self.rows[:, :r, free] = _submul_mod(old, old[:, :, leads], new)
         t = len(accepted)
         if r + t > self.rows.shape[1]:
             grown = np.zeros((2, max(2 * self.rows.shape[1], r + t), self.width))
@@ -389,7 +401,14 @@ class _Engine:
         self.top = top
         self.letter_mode = letter_mode
         gens = [np.asarray(p, dtype=np.int64) for p in aut.generators]
-        self.levels = [_Level(self.n, m, gens) for m in range(top + 1)]
+        # A generator acts on the code a * n + b of level m as on a at
+        # level m - 1 and on the vertex b.
+        perms = [np.zeros(1, dtype=np.int64) for _ in gens]
+        self.levels = []
+        for m in range(top + 1):
+            if m:
+                perms = [np.add.outer(q * self.n, g).ravel() for q, g in zip(perms, gens)]
+            self.levels.append(_Level(self.n, m, perms))
         self._build_op_tables()
         self.bases = [_ModBasis(lv.R) for lv in self.levels]
         # letters[m][..., j] is letter j of level m as a (2, R, W) stack of
@@ -406,50 +425,35 @@ class _Engine:
     # -- op tables ---------------------------------------------------------
 
     def _build_op_tables(self) -> None:
-        top, n = self.top, self.n
+        """Gathers for the structural operations, by arithmetic on tuple
+        codes: rotation moves the last digit first, star reverses the
+        digits, inclusion into level m deletes digit m // 2, and expectation
+        from level m + 1 inserts digit (m + 1) // 2."""
+        n = self.n
         self.rot_gather = []
         self.rev_gather = []
         for lv in self.levels:
-            d = lv.digits
-            if lv.m <= 1:
-                idx = np.arange(lv.R, dtype=np.int64)
-                self.rot_gather.append(idx)
-                self.rev_gather.append(idx)
-            else:
-                rot_src = np.concatenate([d[:, -1:], d[:, :-1]], axis=1)
-                self.rot_gather.append(lv.orbit_dense[rot_src @ lv.weights])
-                self.rev_gather.append(lv.orbit_dense[d[:, ::-1] @ lv.weights])
+            rest, last = np.divmod(lv.reps, n)
+            self.rot_gather.append(lv.orbit_dense[last * n ** max(lv.m - 1, 0) + rest])
+            self.rev_gather.append(lv.orbit_dense[_reversed_codes(lv.reps, n, lv.m)])
         # incl_map[m]: build a level-m vector from one at m-1
         self.incl_map: list[tuple[np.ndarray, np.ndarray | None] | None] = [None]
-        for m in range(1, top + 1):
-            lv, below = self.levels[m], self.levels[m - 1]
-            d = lv.digits
-            mp = m - 1
-            if mp % 2 == 0:
-                cut = mp // 2
-                src = np.delete(d, cut, axis=1)
-                self.incl_map.append((below.orbit_dense[src @ below.weights], None))
-            else:
-                h = (mp + 1) // 2
-                mask = d[:, h - 1] == d[:, h]
-                src = np.delete(d, h, axis=1)
-                self.incl_map.append((below.orbit_dense[src @ below.weights], mask))
+        for m in range(1, self.top + 1):
+            low = n ** (m - 1 - m // 2)
+            head, rest = np.divmod(self.levels[m].reps, low * n)
+            digit, tail = np.divmod(rest, low)
+            gather = self.levels[m - 1].orbit_dense[head * low + tail]
+            self.incl_map.append((gather, head % n == digit if m % 2 == 0 else None))
         # expect_map[m]: build a level-m vector from one at m+1
         self.expect_map: list[tuple[np.ndarray, bool] | None] = []
-        for m in range(top):
-            lv, above = self.levels[m], self.levels[m + 1]
-            d = lv.digits
+        for m in range(self.top):
+            low = n ** (m // 2)
+            head, tail = np.divmod(self.levels[m].reps, low)
             if m % 2 == 0:
-                cut = m // 2
-                tabs = [
-                    above.orbit_dense[np.insert(d, cut, l, axis=1) @ above.weights]
-                    for l in range(n)
-                ]
-                self.expect_map.append((np.stack(tabs, axis=1), True))
+                src = ((head * n)[:, None] + np.arange(n)) * low + tail[:, None]
             else:
-                h = (m + 1) // 2
-                src = np.insert(d, h, d[:, h - 1], axis=1)
-                self.expect_map.append((above.orbit_dense[src @ above.weights], False))
+                src = (head * n + head % n) * low + tail
+            self.expect_map.append((self.levels[m + 1].orbit_dense[src], m % 2 == 0))
         self.expect_map.append(None)
 
     def _mult_tables_for(self, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -458,23 +462,13 @@ class _Engine:
             return cached
         lv = self.levels[m]
         n = self.n
-        h = (m + 1) // 2
         f = m // 2
         wcodes = np.arange(n**f, dtype=np.int64)
-        if f > 0:
-            wd = _digit_table(n, f, wcodes)
-            fw = n ** np.arange(f - 1, -1, -1, dtype=np.int64)
-            rev_codes = wd[:, ::-1] @ fw
-            head = lv.digits[:, :h] @ (n ** np.arange(h - 1, -1, -1, dtype=np.int64))
-            tail = lv.digits[:, h:] @ fw
-        else:
-            rev_codes = wcodes
-            head = np.zeros(lv.R, dtype=np.int64)
-            tail = np.zeros(lv.R, dtype=np.int64)
-        a_code = head[:, None] * (n**f) + wcodes[None, :]
-        b_code = rev_codes[None, :] * (n ** (m - f)) + tail[:, None]
+        head, tail = np.divmod(lv.reps, n**f)
+        a_code = (head if f else np.zeros_like(head))[:, None] * (n**f) + wcodes[None, :]
+        b_code = _reversed_codes(wcodes, n, f)[None, :] * (n ** (m - f)) + tail[:, None]
         if m % 2 == 1:
-            b_code = b_code + lv.digits[:, h - 1][:, None] * (n**f)
+            b_code = b_code + (head % n)[:, None] * (n**f)
         tables = (lv.orbit_dense[a_code], lv.orbit_dense[b_code])
         self.mult_tables[m] = tables
         return tables
@@ -490,7 +484,7 @@ class _Engine:
 
     def _jones_vec(self, m: int) -> np.ndarray:
         lv = self.levels[m]
-        d = lv.digits
+        d = lv.reps[:, None] // self.n ** np.arange(m - 1, -1, -1) % self.n
         if m % 2 == 0:
             ok = np.ones(lv.R, dtype=bool)
             for j in range((m - 2) // 2):
@@ -546,6 +540,10 @@ class _Engine:
 
     def _push(self, m: int, item: tuple) -> None:
         self.queues[m].append((next(self._stamp), item))
+
+    def _push_all(self, m: int, items) -> None:
+        # zip draws one stamp past the last item; stamps only order the heads.
+        self.queues[m].extend(zip(self._stamp, items))
 
     def _materialise(self, m: int, items: list[tuple]) -> np.ndarray:
         """The candidate vectors of the items, one gather per kind.
@@ -610,8 +608,7 @@ class _Engine:
             self._push(m + 1, ("incl", idx))
         if m > 0:
             self._push(m - 1, ("expect", idx))
-        for j in range(self.letter_counts[m]):
-            self._push(m, ("mul", idx, j))
+        self._push_all(m, zip(repeat("mul"), repeat(idx), range(self.letter_counts[m])))
         if self._letter_policy(m, origin):
             self._register_letter(m, self.bases[m].rows[:, idx], idx + 1)
 
@@ -637,8 +634,7 @@ class _Engine:
             self.letters[m] = store
         store[..., j] = letter
         self.letter_counts[m] = j + 1
-        for i in range(nrows):
-            self._push(m, ("mul", i, j))
+        self._push_all(m, zip(repeat("mul"), range(nrows), repeat(j)))
 
     def _core_letters(self, g: ColoredGraph) -> None:
         """Rotated strand-lifts of boxes and cup-caps, the "words" letters."""
@@ -778,7 +774,7 @@ def bounded_c1(
     length 6 stay constant even though the engine found a splitting).
     """
     top = max(2, ceiling)
-    _check_size(g.n, top, 2_000_000)
+    _check_size(g.n, top, ClosureConfig.size_limit)
     engine = _Engine(g, top, "words", automorphism_group(g))
     engine.run(g)
     rank = engine.bases[1].rank

@@ -6,6 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -391,9 +392,16 @@ def check_block_insertion(seed: int) -> None:
         assert stored[k].astype(np.int64).tolist() == expected
 
 
-def test_insert_block_matches_exact_elimination():
-    for seed in range(60):
-        check_block_insertion(seed)
+# _mod's crossover set so that every stack takes the floor path, or the
+# np.remainder path.
+REDUCTION_PATHS = {"floor": 0, "remainder": 10**9}
+
+
+def test_insert_block_matches_exact_elimination(monkeypatch):
+    for crossover in REDUCTION_PATHS.values():
+        monkeypatch.setattr(closure_module, "_REMAINDER_MAX", crossover)
+        for seed in range(60):
+            check_block_insertion(seed)
 
 
 def test_insert_block_saturates_partway_through_a_block():
@@ -408,26 +416,54 @@ def test_insert_block_with_small_chunks(monkeypatch):
     # A tiny chunk forces the chunked products and the periodic in-block
     # reductions on every path; the results must not change.
     monkeypatch.setattr(closure_module, "_CHUNK", 2)
-    for seed in range(20):
-        check_block_insertion(seed)
+    for crossover in REDUCTION_PATHS.values():
+        monkeypatch.setattr(closure_module, "_REMAINDER_MAX", crossover)
+        for seed in range(20):
+            check_block_insertion(seed)
 
 
 def test_mismatch_under_one_prime_raises():
     p0 = int(_PRIMES[0])
     # Zero modulo the first prime only, against an empty basis.
-    with pytest.raises(ModularMismatchError):
+    with pytest.raises(ModularMismatchError, match="leads -1 vs 0"):
         _ModBasis(4).insert_block(residues([[p0, 0, 0, 0]]))
     # The same after reduction, behind an independent row in the block.
     basis = _ModBasis(4)
     basis.insert_block(residues([[1, 0, 0, 0]]))
-    with pytest.raises(ModularMismatchError):
+    with pytest.raises(ModularMismatchError, match="leads -1 vs 1"):
         basis.insert_block(residues([[0, 0, 1, 1], [1, p0, 0, 0]]))
+
+
+@pytest.mark.parametrize("path", REDUCTION_PATHS)
+def test_mod_matches_python_remainder(path, monkeypatch):
+    # Stacks of sizes on both sides of the crossover, with values spread
+    # over the range _mod accepts, the ends of it, and exact multiples of
+    # each prime; a zero residue must come out as +0.0. np.remainder is
+    # exact on every float64 integer; the floor path needs its rounded
+    # multiple q * p, within 2p of x, to stay below 2^53 as well.
+    half = closure_module._REMAINDER_MAX // 2
+    monkeypatch.setattr(closure_module, "_REMAINDER_MAX", REDUCTION_PATHS[path])
+    top = {"floor": 2**53 - 2**22, "remainder": 2**53 - 1}[path]
+    rng = np.random.default_rng(7)
+    shapes = [(2, 5), (2, 37), (2, half), (2, half + 1), (2, 3, half), (2, 64, 36), (2, 2, 5, 9)]
+    for shape in shapes:
+        ints = rng.integers(-top, top, size=shape, endpoint=True)
+        flat = ints.reshape(2, -1)
+        flat[:, :5] = [top, -top, top - 1, -top + 1, 0]
+        for k, p in enumerate(int(q) for q in _PRIMES):
+            mult = rng.integers(-(top // p), top // p, size=flat.shape[1] // 3, endpoint=True)
+            flat[k, 5 : 5 + len(mult)] = mult * p
+        got = closure_module._mod(ints.astype(np.float64))
+        for k, p in enumerate(int(q) for q in _PRIMES):
+            want = [int(v) % p for v in ints[k].ravel().tolist()]
+            assert got[k].ravel().astype(np.int64).tolist() == want
+        assert not np.signbit(got).any()
 
 
 def test_float64_exactness_bound():
     for p in (int(q) for q in _PRIMES):
         assert p < 2**21
-        assert _CHUNK * (p - 1) ** 2 + p < 2**53
+        assert _CHUNK * (p - 1) ** 2 + p < 2**53 - 2**22
 
 
 def test_letter_products_stay_exact_past_one_chunk(monkeypatch):
@@ -467,6 +503,198 @@ def test_letter_products_stay_exact_past_one_chunk(monkeypatch):
     monkeypatch.setattr(closure_module, "_ELEMENT_BUDGET", 1000)
     got = _apply_letters(rows, table, letters, [1, 0])
     assert np.array_equal(got.astype(np.int64), want[..., ::-1].astype(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# Orbit levels and op tables against the digit-table construction.
+#
+# The engine computes them from tuple codes by integer arithmetic. The
+# functions below are the digit-table construction it replaced, kept
+# verbatim as the reference: every m-tuple as a row of m digits, gathers
+# by deleting, inserting and permuting digit columns.
+
+
+def _digit_table(n: int, m: int, codes: np.ndarray) -> np.ndarray:
+    if m == 0:
+        return np.zeros((len(codes), 0), dtype=np.int64)
+    weights = n ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    return (codes[:, None] // weights[None, :]) % n
+
+
+class DigitLevel:
+    """Orbit structure of the automorphism group acting on m-tuples."""
+
+    __slots__ = ("n", "m", "size", "reps", "R", "orbit_dense", "digits", "weights")
+
+    def __init__(self, n: int, m: int, gens: list[np.ndarray]):
+        self.n = n
+        self.m = m
+        self.size = n**m
+        codes = np.arange(self.size, dtype=np.int64)
+        self.weights = n ** np.arange(m - 1, -1, -1, dtype=np.int64)
+        labels = codes
+        if gens and m > 0:
+            digits_all = _digit_table(n, m, codes)
+            perms = [g[digits_all] @ self.weights for g in gens]
+            labels = codes.copy()
+            changed = True
+            while changed:
+                changed = False
+                for p in perms:
+                    merged = np.minimum(labels, labels[p])
+                    if not np.array_equal(merged, labels):
+                        labels = merged
+                        changed = True
+                shortcut = labels[labels]
+                if not np.array_equal(shortcut, labels):
+                    labels = shortcut
+                    changed = True
+        self.reps = np.unique(labels)
+        self.R = len(self.reps)
+        self.orbit_dense = np.searchsorted(self.reps, labels).astype(np.int64)
+        self.digits = _digit_table(n, m, self.reps)
+
+
+def _build_op_tables(self) -> None:
+    top, n = self.top, self.n
+    self.rot_gather = []
+    self.rev_gather = []
+    for lv in self.levels:
+        d = lv.digits
+        if lv.m <= 1:
+            idx = np.arange(lv.R, dtype=np.int64)
+            self.rot_gather.append(idx)
+            self.rev_gather.append(idx)
+        else:
+            rot_src = np.concatenate([d[:, -1:], d[:, :-1]], axis=1)
+            self.rot_gather.append(lv.orbit_dense[rot_src @ lv.weights])
+            self.rev_gather.append(lv.orbit_dense[d[:, ::-1] @ lv.weights])
+    # incl_map[m]: build a level-m vector from one at m-1
+    self.incl_map: list[tuple[np.ndarray, np.ndarray | None] | None] = [None]
+    for m in range(1, top + 1):
+        lv, below = self.levels[m], self.levels[m - 1]
+        d = lv.digits
+        mp = m - 1
+        if mp % 2 == 0:
+            cut = mp // 2
+            src = np.delete(d, cut, axis=1)
+            self.incl_map.append((below.orbit_dense[src @ below.weights], None))
+        else:
+            h = (mp + 1) // 2
+            mask = d[:, h - 1] == d[:, h]
+            src = np.delete(d, h, axis=1)
+            self.incl_map.append((below.orbit_dense[src @ below.weights], mask))
+    # expect_map[m]: build a level-m vector from one at m+1
+    self.expect_map: list[tuple[np.ndarray, bool] | None] = []
+    for m in range(top):
+        lv, above = self.levels[m], self.levels[m + 1]
+        d = lv.digits
+        if m % 2 == 0:
+            cut = m // 2
+            tabs = [
+                above.orbit_dense[np.insert(d, cut, l, axis=1) @ above.weights]
+                for l in range(n)
+            ]
+            self.expect_map.append((np.stack(tabs, axis=1), True))
+        else:
+            h = (m + 1) // 2
+            src = np.insert(d, h, d[:, h - 1], axis=1)
+            self.expect_map.append((above.orbit_dense[src @ above.weights], False))
+    self.expect_map.append(None)
+
+
+def _mult_tables_for(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+    cached = self.mult_tables[m]
+    if cached is not None:
+        return cached
+    lv = self.levels[m]
+    n = self.n
+    h = (m + 1) // 2
+    f = m // 2
+    wcodes = np.arange(n**f, dtype=np.int64)
+    if f > 0:
+        wd = _digit_table(n, f, wcodes)
+        fw = n ** np.arange(f - 1, -1, -1, dtype=np.int64)
+        rev_codes = wd[:, ::-1] @ fw
+        head = lv.digits[:, :h] @ (n ** np.arange(h - 1, -1, -1, dtype=np.int64))
+        tail = lv.digits[:, h:] @ fw
+    else:
+        rev_codes = wcodes
+        head = np.zeros(lv.R, dtype=np.int64)
+        tail = np.zeros(lv.R, dtype=np.int64)
+    a_code = head[:, None] * (n**f) + wcodes[None, :]
+    b_code = rev_codes[None, :] * (n ** (m - f)) + tail[:, None]
+    if m % 2 == 1:
+        b_code = b_code + lv.digits[:, h - 1][:, None] * (n**f)
+    tables = (lv.orbit_dense[a_code], lv.orbit_dense[b_code])
+    self.mult_tables[m] = tables
+    return tables
+
+
+def _jones_vec(self, m: int) -> np.ndarray:
+    lv = self.levels[m]
+    d = lv.digits
+    if m % 2 == 0:
+        ok = np.ones(lv.R, dtype=bool)
+        for j in range((m - 2) // 2):
+            ok &= d[:, j] == d[:, m - 1 - j]
+    else:
+        h = (m - 1) // 2
+        ok = (d[:, h - 1] == d[:, h]) & (d[:, h] == d[:, h + 1])
+        for j in range(h - 1):
+            ok &= d[:, j] == d[:, m - 1 - j]
+    return self._wrap(ok.astype(np.int64))
+
+
+def op_table_graphs():
+    graphs = [
+        (path.stem, parse_graph(path.read_text())) for path in sorted(GRAPHS_DIR.glob("*.graph"))
+    ]
+    graphs = [(name, g) for name, g in graphs if g.n <= 8]
+    graphs += [(f"edgeless-{n}", edgeless(n)) for n in range(1, 10)]
+    graphs += [(f"complete-{n}", complete(n)) for n in range(1, 10)]
+    graphs += [(f"oriented-{n}", oriented_n_gon(n)) for n in (4, 5, 6)]
+    # Graphs with more than one vertex orbit, whose level-1 tables are not
+    # trivial.
+    path = ["edge c 0 1", "edge c 1 2", "edge c 2 3"]
+    graphs += [
+        ("path-4", graph_from_lines(4, path)),
+        ("triangle-and-arc", graph_from_lines(5, path[:2] + ["edge c 0 2", "arc a 3 4"])),
+    ]
+    return graphs
+
+
+def test_op_tables_match_the_digit_table_construction():
+    top = 4
+    for name, g in op_table_graphs():
+        aut = automorphism_group(g)
+        engine = closure_module._Engine(g, top, "words", aut)
+        gens = [np.asarray(p, dtype=np.int64) for p in aut.generators]
+        ref = SimpleNamespace(
+            n=g.n, top=top, levels=[DigitLevel(g.n, m, gens) for m in range(top + 1)],
+            mult_tables=[None] * (top + 1), _wrap=engine._wrap,
+        )
+        _build_op_tables(ref)
+        for m in range(top + 1):
+            got, want = engine.levels[m], ref.levels[m]
+            assert np.array_equal(got.reps, want.reps), (name, m)
+            assert np.array_equal(got.orbit_dense, want.orbit_dense), (name, m)
+            assert got.R == want.R
+            assert np.array_equal(engine.rot_gather[m], ref.rot_gather[m]), (name, m)
+            assert np.array_equal(engine.rev_gather[m], ref.rev_gather[m]), (name, m)
+            for a, b in zip(engine._mult_tables_for(m), _mult_tables_for(ref, m)):
+                assert np.array_equal(a, b), (name, m)
+            if m >= 2:
+                assert np.array_equal(engine._jones_vec(m), _jones_vec(ref, m)), (name, m)
+        assert engine.incl_map[0] is None and ref.incl_map[0] is None
+        for (gather, mask), (ref_gather, ref_mask) in zip(engine.incl_map[1:], ref.incl_map[1:]):
+            assert np.array_equal(gather, ref_gather), name
+            assert (mask is None) == (ref_mask is None), name
+            assert mask is None or np.array_equal(mask, ref_mask), name
+        assert engine.expect_map[top] is None and ref.expect_map[top] is None
+        for got, want in zip(engine.expect_map[:top], ref.expect_map[:top]):
+            assert got[1] == want[1], name
+            assert np.array_equal(got[0], want[0]), name
 
 
 # ---------------------------------------------------------------------------
