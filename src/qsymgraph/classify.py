@@ -18,7 +18,7 @@ them closed under complementation, each classified. Row v of a generated
 graph takes the leftmost vertices of each cell of later vertices alike on
 0..v-1, as swapping two of them fixes every earlier row and v. Duplicates
 go by the least adjacency bit string over all vertex relabelings, found
-by an individualization-refinement search with twin pruning.
+by a depth-first search that prunes by the automorphisms it meets.
 """
 from __future__ import annotations
 
@@ -69,7 +69,7 @@ class Classification:
     kind is one of "fuss_catalan", "dihedral", "cyclic_group",
     "tensor_product", "unknown". Exactly the fields relevant to the tag
     are populated; every result carries a closed-form series or a
-    computed coefficient prefix.
+    computed coefficient prefix, empty when closures were skipped.
     """
 
     kind: str
@@ -181,62 +181,123 @@ def _canonical_adjacency(adj: np.ndarray) -> tuple[bytes, np.ndarray]:
     """Least packed row-major bit string of a symmetric, loopless adj over
     all relabelings, plus the relabeled matrix that spells it.
 
-    The search fills positions 0..n-1 in order. A state is the vertices
-    placed so far and an ordered partition of the others into cells. At
-    position t, each vertex v of the first cell is tried: v is placed and
-    every cell is split into its non-neighbours of v, then its neighbours.
-    That fixes row t of the relabeled matrix: its bits at placed
-    positions are v's adjacencies, and each cell gives its zeros before
-    its ones, the least arrangement of that cell's bits. Only the states
-    whose row t ties the least row t go on to position t + 1. All of
-    them share rows 0..t-1, and the cell order is exactly what keeps
-    those rows least, so minimising row by row is lexicographic order on
-    the whole string: the search is exact, and every surviving leaf
-    spells the same string.
+    A depth-first search places one vertex per position. A node's cells
+    order the unplaced vertices; a child places a vertex v of the first
+    cell and splits each cell into non-neighbours, then neighbours of v.
+    Before column t, row t repeats column t; after it, each cell gives its
+    zeros, then its ones. The cell order keeps rows 0..t-1 least, so
+    minimising row by row is lexicographic order on the whole string.
 
-    Twin rule: candidate v is skipped when a candidate u already tried in
-    the same cell has N(u) - {v} = N(v) - {u}. The transposition (u v) is
-    then an automorphism that fixes every placed vertex and every cell,
-    so it maps u's subtree onto v's, string for string.
+    Bound: a node keeps only its children with the least row t, and while
+    rows 0..t-1 tie the best leaf so far, a larger row t drops the node.
+    Equal leaves: a leaf spelling the best string again gives the
+    automorphism g mapping the best leaf's vertex at each position to
+    this leaf's. At the node where their paths part, g fixes every placed
+    vertex, hence each cell, and maps the best leaf's child, searched
+    already, onto this leaf's, subtree onto subtree, string for string;
+    the search returns to that node. Orbits: for the same reason a child
+    is skipped when automorphisms found so far that fix every placed
+    vertex map an explored sibling onto it, or when it is a twin of one,
+    u and v with N(u) - {v} = N(v) - {u}: their transposition is such.
     """
     n = adj.shape[0]
-    # Vertex sets are int bitmasks: bit j of nbr[v] is set when v ~ j.
-    nbr = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in adj]
-    states = [((), [(1 << n) - 1])]
-    for _ in range(n):
-        least = None
-        survivors = []
-        for placed, cells in states:
-            first = cells[0]
-            tried: list[int] = []
-            for v in range(n):
-                nv = nbr[v]
-                if not (first >> v) & 1 or any(
-                    (nbr[u] & ~(1 << v)) == (nv & ~(1 << u)) for u in tried
-                ):
-                    continue
-                tried.append(v)
+    key = _least_key([int.from_bytes(r, "little") for r in np.packbits(adj, 1, "little")])
+    return key, _unpacked(key, n)
+
+
+def _least_key(nbr: list[int]) -> bytes:
+    """_canonical_adjacency's key of neighbour bitmasks, v ~ j at bit j of nbr[v]."""
+    n = len(nbr)
+    twins: dict[int, int] = {}
+    for v, nv in enumerate(nbr):
+        # Twins share N(v) when not adjacent and N(v) + {v} when adjacent;
+        # no N(u) is an N(w) + {w}, as u ~ w would put u in N(u).
+        for mask in (nv, nv | 1 << v):
+            twins[mask] = twins.get(mask, 0) | 1 << v
+    gens = []  # automorphisms found, with the masks of the points they move
+    order: list[int] = []
+    best, best_order = [], []  # the best leaf's rows and vertex order
+
+    # Returns the position of the node to resume at; tied: order's rows tie best's.
+    def search(cells: list[int], placed: int, tied: bool) -> int:
+        t = len(order)
+        if len(cells) == n - t:  # every cell holds one vertex: the leaf is forced
+            leaf = order + [cell.bit_length() - 1 for cell in cells]
+            rows = []
+            for u in leaf:
                 row = 0
-                for p in (*placed, v):
-                    row = (row << 1) | ((nv >> p) & 1)
-                split = []
-                for cell in (first & ~(1 << v), *cells[1:]):
-                    ones = cell & nv
-                    row = (row << cell.bit_count()) | ((1 << ones.bit_count()) - 1)
-                    split += [part for part in (cell & ~nv, ones) if part]
-                if least is None or row < least:
-                    least, survivors = row, []
-                if row == least:
-                    survivors.append(((*placed, v), split))
-        states = survivors
-    perm = list(states[0][0])
-    canon = adj[np.ix_(perm, perm)]
-    return _packed(canon), canon
+                for w in leaf:
+                    row = row << 1 | nbr[u] >> w & 1
+                rows.append(row)
+            if tied and rows > best:
+                return n
+            if not tied or rows < best:
+                best[:], best_order[:] = rows, leaf
+                return n
+            g = [v for _, v in sorted(zip(best_order, leaf))]
+            gens.append((g, sum(1 << u for u in range(n) if g[u] != u)))
+            return next(i for i in range(n) if best_order[i] != leaf[i])
+        least, children = _branches(nbr, cells)
+        if tied:
+            bound = best[t] & (1 << n - 1 - t) - 1  # best's row t from column t + 1 on
+            if least > bound:
+                return n
+            tied = least == bound
+        seen = 0
+        for v in children:
+            if seen >> v & 1:
+                continue
+            nv = nbr[v]
+            split = []
+            for cell in (cells[0] & ~(1 << v), *cells[1:]):
+                if cell & ~nv:
+                    split.append(cell & ~nv)
+                if cell & nv:
+                    split.append(cell & nv)
+            order.append(v)
+            resume = search(split, placed | 1 << v, tied)
+            order.pop()
+            if resume < t:
+                return resume
+            # The best leaf now passes through this node, if it did not yet.
+            tied = True
+            active = [g for g, moved in gens if not moved & placed]
+            grown = seen | twins[nv] | twins[nv | 1 << v]
+            while grown != seen:
+                seen = grown
+                grown |= sum({1 << g[u] for g in active for u in range(n) if seen >> u & 1})
+        return n
+
+    search([(1 << n) - 1] if n else [], 0, False)
+    bits = sum(row << n * (n - 1 - i) for i, row in enumerate(best))
+    return (bits << (-n * n) % 8).to_bytes((n * n + 7) // 8, "big")
+
+
+def _branches(nbr: list[int], cells: list[int]) -> tuple[int, list[int]]:
+    """The least row t from column t + 1 on, over the first cell's v, and the v spelling it."""
+    first, rest = cells[0], [(cell, cell.bit_count()) for cell in cells[1:]]
+    least, children = -1, []
+    for v in range(first.bit_length()):
+        if first >> v & 1:
+            # v is no neighbour of itself, so first & nbr[v] lies in first - v.
+            row = (1 << (first & nbr[v]).bit_count()) - 1
+            for cell, size in rest:
+                row = row << size | (1 << (cell & nbr[v]).bit_count()) - 1
+            if row == least:
+                children.append(v)
+            elif least < 0 or row < least:
+                least, children = row, [v]
+    return least, children
 
 
 def _packed(adj: np.ndarray) -> bytes:
     """The packed row-major bit string of adj: the key of a canonical matrix."""
     return np.packbits(adj.reshape(-1)).tobytes()
+
+
+def _unpacked(key: bytes, n: int) -> np.ndarray:
+    """The n x n bool matrix whose packed row-major bit string is key."""
+    return np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=n * n).reshape(n, n) > 0
 
 
 def canonical_key(g: ColoredGraph) -> bytes:
@@ -257,8 +318,8 @@ def canonical_key(g: ColoredGraph) -> bytes:
 
 
 def _regular_completions(n: int, k: int):
-    """Labeled k-regular graphs on n vertices, at least one per
-    isomorphism class, with rows filled in order 0..n-1.
+    """Labeled k-regular graphs on n vertices as neighbour bitmasks, at
+    least one per isomorphism class, with rows filled in order 0..n-1.
 
     Row v joins v to later vertices w > v with deg(w) < k. These fall
     into cells by their adjacency to 0..v-1, and row v takes the first t
@@ -277,7 +338,7 @@ def _regular_completions(n: int, k: int):
 
     def rows(v: int):
         if v == n:
-            yield np.array([[m >> j & 1 for j in range(n)] for m in nbr], dtype=bool)
+            yield list(nbr)
             return
         cells: dict[int, list[int]] = {}
         for w in range(v + 1, n):
@@ -313,13 +374,9 @@ def regular_graph_reps(n: int) -> list[ColoredGraph]:
     """
     if not 1 <= n <= 9:
         raise GraphError("regular enumeration is limited to 9 vertices")
-    found: dict[bytes, np.ndarray] = {}
-    for k in range((n - 1) // 2 + 1):
-        for adj in _regular_completions(n, k):
-            key, canon = _canonical_adjacency(adj)
-            if key not in found:
-                found[key] = canon
-    return [_graph_from_adjacency(found[key]) for key in sorted(found)]
+    degrees = range((n - 1) // 2 + 1)
+    found = {_least_key(nbr) for k in degrees for nbr in _regular_completions(n, k)}
+    return [_graph_from_adjacency(_unpacked(key, n)) for key in sorted(found)]
 
 
 @lru_cache(maxsize=None)
@@ -447,6 +504,8 @@ def product_test(
     y: ColoredGraph,
     z: ColoredGraph,
     cfg: ClosureConfig | None = None,
+    *,
+    no_closure: bool = False,
 ) -> ProductVerdict:
     """Check that x is the tensor product of y and z in the strong sense
     that lets the symmetry split: the factors must be connected, regular,
@@ -485,16 +544,14 @@ def product_test(
         return ProductVerdict(
             False, f"eigenvalue ratio sets share {extra} besides 1", sy, sz
         )
-    left = classify(y, cfg)
-    right = classify(z, cfg)
+    left = classify(y, cfg, no_closure=no_closure)
+    right = classify(z, cfg, no_closure=no_closure)
     series: PoincareSeries | None = None
     prefix: tuple[int, ...] | None = None
     if left.series is not None and right.series is not None:
         series = HadamardProduct(left.series, right.series)
     else:
-        count = min(
-            len(left.prefix or ()) or 10**9, len(right.prefix or ()) or 10**9
-        )
+        count = min(len(f.prefix) for f in (left, right) if f.prefix is not None)
         lp = left.series_prefix(count)
         rp = right.series_prefix(count)
         assert lp is not None and rp is not None
@@ -812,13 +869,16 @@ def _closed_form_candidates(n: int) -> list[tuple[str, PoincareSeries]]:
     return out
 
 
-def classify(g: ColoredGraph, cfg: ClosureConfig | None = None) -> Classification:
+def classify(
+    g: ColoredGraph, cfg: ClosureConfig | None = None, *, no_closure: bool = False
+) -> Classification:
     """Run the recognition pipeline and return a tagged classification.
 
     The order matters: complement normalization first so every later rule
     sees the sparser representative, then oriented cycles, Fuss-Catalan
     shapes, the circulant criterion, tensor splitting, and the raw
-    dimension fallback. The trail records one line per rule.
+    dimension fallback. The trail records one line per rule. With
+    no_closure, a closure's dims are skipped: the prefix stays empty.
     """
     if cfg is None:
         cfg = ClosureConfig(max_level=4)
@@ -834,6 +894,12 @@ def classify(g: ColoredGraph, cfg: ClosureConfig | None = None) -> Classificatio
     else:
         screen += f", loop counts uneven at length {bad_len} in color {bad_label}"
     trail.append(f"screen: {screen}")
+
+    def dims() -> tuple[tuple[int, ...], bool | None, str]:
+        if no_closure:
+            return (), None, "dims not computed, closures skipped"
+        res = closure(work, cfg)
+        return tuple(res.dims), res.converged, "computed dims " + ",".join(map(str, res.dims))
 
     work = g
     if (
@@ -873,13 +939,8 @@ def classify(g: ColoredGraph, cfg: ClosureConfig | None = None) -> Classificatio
             series = FussCatalan(len(match.indices))
         else:
             series = None
-            res = closure(work, cfg)
-            prefix = tuple(res.dims)
-            converged = res.converged
-            trail.append(
-                "series: no closed form for small indices, computed dims "
-                + ",".join(map(str, prefix))
-            )
+            prefix, converged, shown = dims()
+            trail.append("series: no closed form for small indices, " + shown)
         return Classification(
             kind="fuss_catalan",
             trail=tuple(trail),
@@ -924,7 +985,7 @@ def classify(g: ColoredGraph, cfg: ClosureConfig | None = None) -> Classificatio
                 continue
             for y in product_factor_candidates(n1):
                 for z in product_factor_candidates(n2):
-                    verdict = product_test(work, y, z, cfg)
+                    verdict = product_test(work, y, z, cfg, no_closure=no_closure)
                     if verdict.accepted:
                         hit = verdict
                         break
@@ -948,9 +1009,8 @@ def classify(g: ColoredGraph, cfg: ClosureConfig | None = None) -> Classificatio
     else:
         trail.append("product: not attempted")
 
-    res = closure(work, cfg)
-    prefix = tuple(res.dims)
-    trail.append("series: computed dims " + ",".join(map(str, prefix)))
+    prefix, converged, shown = dims()
+    trail.append("series: " + shown)
     if len(prefix) >= 4:
         hits = [
             name
@@ -965,7 +1025,7 @@ def classify(g: ColoredGraph, cfg: ClosureConfig | None = None) -> Classificatio
         kind="unknown",
         trail=tuple(trail),
         prefix=prefix,
-        converged=res.converged,
+        converged=converged,
     )
 
 

@@ -130,7 +130,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     classification: Classification | None = None
     capped = False
     try:
-        classification = classify(g, cfg)
+        classification = classify(g, cfg, no_closure=args.no_closure)
     except ResourceCapError as exc:
         warnings.append(f"classification stopped at a size cap: {exc}")
         capped = True

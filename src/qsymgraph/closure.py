@@ -465,7 +465,7 @@ class _Engine:
         f = m // 2
         wcodes = np.arange(n**f, dtype=np.int64)
         head, tail = np.divmod(lv.reps, n**f)
-        a_code = (head if f else np.zeros_like(head))[:, None] * (n**f) + wcodes[None, :]
+        a_code = head[:, None] * (n**f) + wcodes[None, :]
         b_code = _reversed_codes(wcodes, n, f)[None, :] * (n ** (m - f)) + tail[:, None]
         if m % 2 == 1:
             b_code = b_code + (head % n)[:, None] * (n**f)

@@ -5,6 +5,7 @@ import importlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -108,11 +109,27 @@ def test_analyze_twenty_vertices(tmp_path, capsys):
     assert any("not tried: 2 x 10" in line for line in doc["classification"]["trail"])
 
 
+@pytest.mark.parametrize("copies, size", [(3, 6), (5, 5)], ids=["3c6", "5c5"])
+def test_analyze_no_closure_skips_the_fallback_dims(copies, size, tmp_path, capsys):
+    # With dims, the raw closure of three hexagons takes about a minute and
+    # that of five pentagons stops at the size cap.
+    path = tmp_path / "copies.graph"
+    path.write_text(write_graph(disjoint_copies(copies, n_gon(size))))
+    start = time.perf_counter()
+    assert main(["analyze", str(path), "--no-closure", "--json"]) == 0
+    assert time.perf_counter() - start < 5.0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["closure"] is None
+    assert doc["classification"]["kind"] == "unknown"
+    assert doc["classification"]["prefix"] == []
+    assert "series: dims not computed, closures skipped" in doc["classification"]["trail"]
+
+
 def test_analyze_five_pentagons_stops_at_the_cap(tmp_path, capsys):
     # The group has order 12,000,000; the full-cycle search used to hang.
     path = tmp_path / "5c5.graph"
     path.write_text(write_graph(disjoint_copies(5, n_gon(5))))
-    assert main(["analyze", str(path), "--no-closure", "--json"]) == 3
+    assert main(["analyze", str(path), "--json"]) == 3
     doc = json.loads(capsys.readouterr().out)
     assert doc["automorphisms"]["order"] == 12_000_000
     assert doc["classification"] is None

@@ -38,7 +38,7 @@ from qsymgraph.graphs import (
     saturate,
 )
 from qsymgraph.scalars import GaussianRational
-from qsymgraph.spinplanar import reference_closure
+from qsymgraph.spinplanar import SpinTensor, mult, reference_closure
 from qsymgraph.symmetry import automorphism_group
 
 closure_module = importlib.import_module("qsymgraph.closure")
@@ -612,15 +612,14 @@ def _mult_tables_for(self, m: int) -> tuple[np.ndarray, np.ndarray]:
     h = (m + 1) // 2
     f = m // 2
     wcodes = np.arange(n**f, dtype=np.int64)
+    head = lv.digits[:, :h] @ (n ** np.arange(h - 1, -1, -1, dtype=np.int64))
     if f > 0:
         wd = _digit_table(n, f, wcodes)
         fw = n ** np.arange(f - 1, -1, -1, dtype=np.int64)
         rev_codes = wd[:, ::-1] @ fw
-        head = lv.digits[:, :h] @ (n ** np.arange(h - 1, -1, -1, dtype=np.int64))
         tail = lv.digits[:, h:] @ fw
     else:
         rev_codes = wcodes
-        head = np.zeros(lv.R, dtype=np.int64)
         tail = np.zeros(lv.R, dtype=np.int64)
     a_code = head[:, None] * (n**f) + wcodes[None, :]
     b_code = rev_codes[None, :] * (n ** (m - f)) + tail[:, None]
@@ -695,6 +694,31 @@ def test_op_tables_match_the_digit_table_construction():
         for got, want in zip(engine.expect_map[:top], ref.expect_map[:top]):
             assert got[1] == want[1], name
             assert np.array_equal(got[0], want[0]), name
+
+
+@pytest.mark.parametrize("name", ["path-4", "triangle-and-arc"])
+def test_products_of_rows_match_spinplanar_mult(name):
+    g = dict(op_table_graphs())[name]
+    top = 3
+    engine = closure_module._Engine(g, top, "words", automorphism_group(g))
+    rng = random.Random(name)
+    for m in range(top + 1):
+        lv = engine.levels[m]
+        a, b = (np.array([rng.randrange(-3, 4) for _ in range(lv.R)]) for _ in range(2))
+        tuples = list(itertools.product(range(g.n), repeat=m))
+        A, B = (
+            SpinTensor(g.n, m, {t: GaussianRational.of(int(v[lv.orbit_dense[k]]))
+                                for k, t in enumerate(tuples)})
+            for v in (a, b)
+        )
+        want = mult(A, B)
+        table, letter_table = engine._mult_tables_for(m)
+        letter = engine._wrap(b)[:, letter_table][..., None]
+        got = _apply_letters(engine._wrap(a)[:, None, :], table, letter, [0])[:, :, 0, 0]
+        for x, code in enumerate(lv.reps.tolist()):
+            value = want[tuples[code]]
+            assert value.im == 0 and value.re.denominator == 1
+            assert got[:, x].tolist() == (int(value.re) % _PRIMES).tolist(), (m, x)
 
 
 # ---------------------------------------------------------------------------
