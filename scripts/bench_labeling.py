@@ -11,11 +11,11 @@ Corpora:
 Per corpus the script prints, as JSON, the number of inputs, the number
 of distinct keys, a sha256 of the sorted keys (each prefixed by its
 vertex count, as `canonical_key` does, one hex line each) and the best
-of three timings of `_canonical_adjacency` over the whole corpus. The
+of REPEAT timings of `_canonical_adjacency` over the whole corpus. The
 inputs are built before timing. Run it on another checkout with
 `--src CHECKOUT/src` to compare two versions on the same corpus:
 
-    python3 scripts/bench_labeling.py [--src DIR] [--repeat 3]
+    python3 scripts/bench_labeling.py [--src DIR]
 """
 from __future__ import annotations
 
@@ -28,6 +28,8 @@ import time
 from pathlib import Path
 
 import numpy as np
+
+REPEAT = 3
 
 
 def as_matrix(adj) -> np.ndarray:
@@ -62,10 +64,10 @@ def corpora(classify, complement, automorphism_group) -> dict[str, list[np.ndarr
     return out
 
 
-def measure(label, inputs: list[np.ndarray], repeat: int) -> dict:
+def measure(label, inputs: list[np.ndarray]) -> dict:
     keys = [bytes([a.shape[0]]) + label(a)[0] for a in inputs]
     best = float("inf")
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         start = time.perf_counter()
         for a in inputs:
             label(a)
@@ -82,7 +84,6 @@ def measure(label, inputs: list[np.ndarray], repeat: int) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
-    parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
     classify = importlib.import_module("qsymgraph.classify")
@@ -90,7 +91,7 @@ def main(argv: list[str] | None = None) -> int:
     from qsymgraph.symmetry import automorphism_group
 
     results = {
-        name: measure(classify._canonical_adjacency, inputs, args.repeat)
+        name: measure(classify._canonical_adjacency, inputs)
         for name, inputs in corpora(classify, complement, automorphism_group).items()
     }
     print(json.dumps(results, indent=2))

@@ -12,6 +12,7 @@ import pytest
 
 from qsymgraph.classify import (
     _canonical_adjacency,
+    _least_key,
     _packed,
     _plain_adjacency,
     _regular_completions,
@@ -160,17 +161,13 @@ def find_cycle_order(g: ColoredGraph) -> list[int] | None:
     return seq if rec() else None
 
 
-def as_matrix(nbr):
-    """The bool matrix of neighbour bitmasks, bit j of nbr[v] set when v ~ j."""
+def graph_of(nbr, perm=None):
+    """The graph of neighbour bitmasks, bit j of nbr[v] set when v ~ j,
+    with vertex v renamed perm[v]."""
     n = len(nbr)
-    return np.array([[m >> j & 1 for j in range(n)] for m in nbr], dtype=bool).reshape(n, n)
-
-
-def relabeled(adj, rng):
-    n = adj.shape[0]
-    perm = list(range(n))
-    rng.shuffle(perm)
-    return _single(n, ((perm[i], perm[j]) for i, j in zip(*np.nonzero(np.triu(adj)))))
+    perm = perm or range(n)
+    edges = ((perm[v], perm[j]) for v in range(n) for j in range(v + 1, n) if nbr[v] >> j & 1)
+    return _single(n, edges)
 
 
 def cycle_inputs():
@@ -186,7 +183,9 @@ def cycle_inputs():
         for k in range(1, n):
             completions = list(_regular_completions(n, k))
             for nbr in rng.choices(completions, k=8) if completions else ():
-                yield relabeled(as_matrix(nbr), rng)
+                perm = list(range(n))
+                rng.shuffle(perm)
+                yield graph_of(nbr, perm)
     # Connection set {2, 3, 4, 5} on 16 vertices: the first n-cycle in
     # the order of the element table is not the least one.
     yield _single(16, ((i, (i + s) % 16) for i in range(16) for s in (2, 3, 4, 5)))
@@ -550,13 +549,9 @@ def pinned_regular_completions(n: int, k: int):
     yield from rec(start)
 
 
-def completion_matrices(n, k):
-    return map(as_matrix, _regular_completions(n, k))
-
-
-def completion_keys(n, k, completions):
+def pinned_keys(n, k):
     keys = set()
-    for adj in completions(n, k):
+    for adj in pinned_regular_completions(n, k):
         assert adj.shape == (n, n) and adj.dtype == bool
         assert np.array_equal(adj, adj.T)
         assert not adj.diagonal().any()
@@ -565,13 +560,23 @@ def completion_keys(n, k, completions):
     return keys
 
 
+def completion_keys(n, k):
+    keys = set()
+    for nbr in _regular_completions(n, k):
+        assert len(nbr) == n
+        for v, nv in enumerate(nbr):
+            assert nv >> n == 0 and not nv >> v & 1 and nv.bit_count() == k
+            assert all(nbr[j] >> v & 1 for j in range(n) if nv >> j & 1)
+        keys.add(_least_key(nbr))
+    return keys
+
+
 @pytest.mark.parametrize(
     "n, k",
     [(n, k) for n in range(1, 8) for k in range(n)] + [(8, k) for k in range(5)],
 )
 def test_cell_rule_keeps_every_class_of_the_pinned_generator(n, k):
-    want = completion_keys(n, k, pinned_regular_completions)
-    assert completion_keys(n, k, completion_matrices) == want
+    assert completion_keys(n, k) == pinned_keys(n, k)
 
 
 def test_regular_completions_match_the_graph_atlas():
@@ -586,7 +591,7 @@ def test_regular_completions_match_the_graph_atlas():
         atlas.setdefault((n, degrees.pop()), set()).add(_canonical_adjacency(adj)[0])
     for n in range(1, 8):
         for k in range(n):
-            got = completion_keys(n, k, completion_matrices)
+            got = completion_keys(n, k)
             assert got == atlas.get((n, k), set()), (n, k)
 
 
@@ -704,7 +709,12 @@ def breadth_first_canonical(adj: np.ndarray) -> tuple[bytes, np.ndarray]:
 
 
 def test_canonical_adjacency_matches_the_breadth_first_search():
-    inputs = [as_matrix(nbr) for n in range(1, 10) for k in range(n) for nbr in _regular_completions(n, k)]
+    inputs = [
+        _plain_adjacency(graph_of(nbr))
+        for n in range(1, 10)
+        for k in range(n)
+        for nbr in _regular_completions(n, k)
+    ]
     rng = random.Random(11)
     for n in range(1, 12):
         for density in (0.1, 0.3, 0.5, 0.7, 0.9) * 4:
@@ -717,7 +727,7 @@ def test_canonical_adjacency_matches_the_breadth_first_search():
     for n, k in ((10, 3), (11, 4)):
         for nbr in itertools.islice(_regular_completions(n, k), 0, None, 97):
             perm = rng.sample(range(n), n)
-            adj = as_matrix(nbr)
+            adj = _plain_adjacency(graph_of(nbr))
             inputs.append(adj[np.ix_(perm, perm)])
     assert len(inputs) > 800
     for adj in inputs:
