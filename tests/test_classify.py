@@ -292,6 +292,30 @@ def test_hexagon_really_is_that_product():
     assert is_isomorphic(cube(), tensor_product(complete(4), complete(2)))
 
 
+def test_walk_traces_spare_the_search_for_non_factors(monkeypatch):
+    # K2 x (3 x 3 rook's graph) has 18 vertices. Its closed-walk counts rule
+    # out every 9-vertex candidate but the rook's graph, whose isomorphism
+    # searches once took most of an hour.
+    classify_module = importlib.import_module("qsymgraph.classify")
+    search = classify_module.is_isomorphic
+    calls = []
+
+    def counting_search(g, h):
+        calls.append((g.n, h.n))
+        return search(g, h)
+
+    monkeypatch.setattr(classify_module, "is_isomorphic", counting_search)
+    x = tensor_product(complete(2), discrete_torus())
+    c = classify(x, ClosureConfig(max_level=3), no_closure=True)
+    assert c.kind == "tensor_product"
+    assert [f.kind for f in c.factors] == ["fuss_catalan", "unknown"]
+    assert len(calls) == 2
+    # The traces differ (24 against 2 x 8 closed 2-walks); the verdict
+    # reads as that of a failed search.
+    verdict = product_test(cube(), complete(2), n_gon(4))
+    assert verdict.reason == "not isomorphic to the tensor product"
+
+
 def test_factor_candidates_are_connected_regular():
     cands = product_factor_candidates(4)
     assert all(c.n == 4 for c in cands)

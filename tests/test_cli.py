@@ -5,17 +5,23 @@ import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from qsymgraph.cli import main
 from qsymgraph.graphs import (
+    complement,
     complete,
     disjoint_copies,
+    loop_rule_check,
     n_gon,
+    parse_graph,
     tensor_product,
     write_graph,
 )
+
+GRAPHS_DIR = Path(__file__).resolve().parent.parent / "graphs"
 
 
 @pytest.fixture
@@ -35,25 +41,49 @@ def test_analyze_human_readable(pentagon_file, capsys):
     assert "timings:" in out
 
 
-def test_analyze_builds_the_automorphism_group_once(pentagon_file, monkeypatch):
-    # The command line, classify and the closure engine all ask for the
-    # group; analyze makes exactly the searches of one uncached build.
+def count_group_searches(path, g, monkeypatch) -> tuple[int, int]:
+    """The searches of one uncached group build of g, and those analyze
+    makes on graphs of g's size (a classification may build the groups of
+    smaller factor graphs too)."""
     symmetry = importlib.import_module("qsymgraph.symmetry")
     search = symmetry._isomorphism
     searches = []
 
-    def counting_search(*args):
-        searches.append(args)
-        return search(*args)
+    def counting_search(rel, *args):
+        if len(rel.matrix) == g.n:
+            searches.append(args)
+        return search(rel, *args)
 
     monkeypatch.setattr(symmetry, "_isomorphism", counting_search)
-    symmetry.automorphism_group.__wrapped__(n_gon(5))
+    symmetry.automorphism_group.cache_clear()
+    symmetry.automorphism_group.__wrapped__(g)
     one_build = len(searches)
-    assert one_build > 0
     searches.clear()
     symmetry.automorphism_group.cache_clear()
-    assert main(["analyze", pentagon_file, "--json"]) == 0
-    assert len(searches) == one_build
+    loop_rule_check.cache_clear()
+    assert main(["analyze", path, "--json"]) == 0
+    return one_build, len(searches)
+
+
+def test_analyze_builds_the_automorphism_group_once(pentagon_file, monkeypatch):
+    # The command line, classify and the closure engine all ask for the
+    # group; analyze makes exactly the searches of one uncached build, and
+    # screens the loop counts once.
+    one_build, searches = count_group_searches(pentagon_file, n_gon(5), monkeypatch)
+    assert one_build > 0
+    assert searches == one_build
+    assert loop_rule_check.cache_info().misses == 1
+
+
+def test_analyze_builds_one_group_for_a_dense_graph_and_its_complement(monkeypatch):
+    # classify works on the complement of a graph denser than half, the
+    # cube, which it splits into factors on 4 and 2 vertices. The graph
+    # and its complement share one group, built once for the cube.
+    path = GRAPHS_DIR / "cube-complement.graph"
+    g = parse_graph(path.read_text())
+    one_build, searches = count_group_searches(str(path), complement(g), monkeypatch)
+    assert one_build > 0
+    assert searches == one_build
 
 
 def test_analyze_json_is_stable_and_round_trips(pentagon_file, capsys):
@@ -235,6 +265,39 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
     assert info.value.code == 2
+
+
+def test_repeated_calls_match_a_first_call(pentagon_file, capsys, monkeypatch):
+    # main() reuses one parser for the whole process; interleaved calls,
+    # a usage error among them, must each behave as a fresh process does.
+    monkeypatch.setenv("COLUMNS", "80")
+    runs = [
+        ["series", "fc", "3", "--terms", "4", "--json"],
+        ["analyze", pentagon_file, "--max-level", "2", "--json"],
+        ["analyze", pentagon_file, "--bogus"],
+        ["enumerate", "--max-vertices", "3", "--max-level", "2"],
+        ["series", "cube"],
+    ]
+
+    def in_process(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    first = {}
+    for argv in runs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qsymgraph.cli", *argv],
+            capture_output=True,
+            text=True,
+        )
+        first[tuple(argv)] = (proc.returncode, proc.stdout, proc.stderr)
+    assert first[tuple(runs[2])][0] == 2
+    for argv in runs + runs[::-1] + runs:
+        assert in_process(argv) == first[tuple(argv)], argv
 
 
 def test_console_entry_point_runs():

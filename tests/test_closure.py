@@ -149,6 +149,15 @@ CENSUS_TO_SIX = (
 )
 
 
+def test_algebra_levels_take_their_rows_as_letters():
+    # Up to level 3 the letters are the basis rows themselves: no core
+    # letter and no duplicate is counted (the hexagon once gave letter
+    # counts 1, 1, 5, 22 against dims 1, 1, 4, 20).
+    for path in sorted(GRAPHS_DIR.glob("*.graph")):
+        result = closure(parse_graph(path.read_text()), ClosureConfig(max_level=3))
+        assert result.letter_counts[:4] == result.buffered_dims[:4], path.stem
+
+
 @pytest.mark.parametrize("name", CENSUS_TO_SIX)
 def test_letter_modes_agree_at_level_four(name):
     # Above level 3 the two policies use different letters: "words" only
