@@ -50,7 +50,6 @@ from .graphs import (
     metric_import,
     multi_simplex,
     n_gon,
-    ngon_metric,
     nine_star,
     oriented_n_gon,
     parse_graph,
@@ -59,7 +58,7 @@ from .graphs import (
     validate,
     write_graph,
 )
-from .linalg import EchelonBasis, ExactMatrix, char_poly, rational_eigenvalues
+from .linalg import ExactMatrix, char_poly, rational_eigenvalues
 from .scalars import CyclotomicElement, GaussianRational
 from .series import (
     CoefficientPrefix,

@@ -13,8 +13,10 @@ a certified lower bound on the exact one; a vector judged dependent
 would have to vanish modulo both primes at once to be misjudged, and any
 disagreement between the two reductions raises ModularMismatchError
 instead of continuing. The test suite pins the dimensions of the worked
-examples against closed forms and against the all-rational reference
-operations in spinplanar, which use no modular arithmetic at all.
+examples against closed forms and against the exact reference engine in
+tests/reference_engine.py, which works on all n^m coordinates and decides
+ranks by fraction-free elimination over the Gaussian integers, with no
+orbit compression and no modular arithmetic.
 
 Residues are stored as float64 integers in [0, p), so that matrix
 products run through BLAS. A product of two residues is below (p-1)^2 <
@@ -37,7 +39,11 @@ up to _BLOCK items from the level whose head item is oldest, materialises
 them, reduces the whole block against the basis with one matrix product
 per prime, drops the rows that vanish under both primes, eliminates the
 survivors one by one in block order, and clears the new pivot columns
-from the old rows with one more product.
+from the old rows with one more product. Taking the oldest head matters
+for speed, not for the result: draining the lowest level with pending
+items first gives the same dimensions but, on a random 8-vertex graph
+with a trivial group at level 3, materialises 116,544 level-3
+candidates against 854 and runs about 30 times longer.
 
 The processing order cannot change the dimensions. The space computed at
 each level is the smallest family of subspaces that contains the seeds
@@ -557,7 +563,10 @@ class _Engine:
 
         The products are taken as one cross product of their rows and
         letters when at most half of it goes unused, else one letter at a
-        time.
+        time. The second path serves the blocks at levels up to
+        _LETTER_ALL_MAX that mix one new row's products on both sides;
+        with the cross product alone, closures at level 3 of random graphs
+        with a trivial group on 8 and 10 vertices took 13% and 30% longer.
         """
         block = np.empty((2, len(items), self.levels[m].R))
         images: dict[str, tuple[list[int], list[int]]] = {}

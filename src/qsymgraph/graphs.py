@@ -440,18 +440,6 @@ def cube_metric() -> MetricSpace:
     return MetricSpace(8, tuple(rows))
 
 
-def ngon_metric(n: int) -> MetricSpace:
-    """Cycle metric of the regular n-gon (chord classes by hop count)."""
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            k = abs(i - j) % n
-            row.append(Fraction(min(k, n - k)))
-        rows.append(tuple(row))
-    return MetricSpace(n, tuple(rows))
-
-
 def eight_spoke_wheel() -> ColoredGraph:
     """Octagon plus its four diameters (the hub is not a vertex)."""
     return cyclic_from_profile(CyclicProfile.from_exponents(8, [1, 4]))

@@ -1,14 +1,12 @@
 """Exact linear algebra over the Gaussian rationals.
 
-Small dense matrices (vertex-sized, so at most 16x16 here), a reduced
-echelon basis for exact rank and membership questions, and rational
+Small dense matrices (vertex-sized, so at most 16x16 here) and rational
 eigenvalue extraction through the rational-root theorem.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .scalars import GR_ONE, GR_ZERO, GaussianRational
 
@@ -201,56 +199,3 @@ def rational_eigenvalues(m: ExactMatrix) -> tuple[dict[Fraction, int], bool]:
     poly = char_poly(m)
     roots, residual = rational_roots(poly)
     return roots, residual == 0
-
-
-@dataclass
-class EchelonBasis:
-    """Reduced echelon basis of vectors over the Gaussian rationals.
-
-    The ambient index order is the natural order of coordinate positions;
-    pivots strictly increase along the basis. Inserting a vector either
-    leaves the span unchanged (returns False) or extends the basis by the
-    fully reduced, pivot-normalized remainder (returns True).
-    """
-
-    dim: int
-    vectors: list[list[GaussianRational]]
-    pivots: list[int]
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.vectors = []
-        self.pivots = []
-
-    @property
-    def rank(self) -> int:
-        return len(self.vectors)
-
-    def reduce(self, vec: Iterable[GaussianRational]) -> list[GaussianRational]:
-        v = list(vec)
-        if len(v) != self.dim:
-            raise ValueError("vector has wrong length")
-        for row, p in zip(self.vectors, self.pivots):
-            c = v[p]
-            if not c.is_zero():
-                for j in range(p, self.dim):
-                    v[j] = v[j] - c * row[j]
-        return v
-
-    def insert(self, vec: Iterable[GaussianRational]) -> bool:
-        v = self.reduce(vec)
-        pivot = next((j for j, c in enumerate(v) if not c.is_zero()), None)
-        if pivot is None:
-            return False
-        inv = GR_ONE / v[pivot]
-        v = [c * inv for c in v]
-        # Back-substitute so the basis stays fully reduced.
-        for row in self.vectors:
-            c = row[pivot]
-            if not c.is_zero():
-                for j in range(pivot, self.dim):
-                    row[j] = row[j] - c * v[j]
-        at = next((i for i, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
-        self.vectors.insert(at, v)
-        self.pivots.insert(at, pivot)
-        return True

@@ -58,7 +58,8 @@ from qsymgraph.series import (
     HadamardProduct,
     tl_series,
 )
-from qsymgraph.spinplanar import (
+from qsymgraph.symmetry import automorphism_group, classical_series_prefix
+from reference_engine import (
     SpinTensor,
     expect,
     incl,
@@ -66,7 +67,6 @@ from qsymgraph.spinplanar import (
     rotate,
     star,
 )
-from qsymgraph.symmetry import automorphism_group, classical_series_prefix
 
 
 @contextmanager

@@ -38,8 +38,8 @@ from qsymgraph.graphs import (
     saturate,
 )
 from qsymgraph.scalars import GaussianRational
-from qsymgraph.spinplanar import SpinTensor, mult, reference_closure
 from qsymgraph.symmetry import automorphism_group
+from reference_engine import SpinTensor, mult, reference_closure
 
 closure_module = importlib.import_module("qsymgraph.closure")
 
@@ -756,13 +756,15 @@ def test_fast_engine_matches_reference_on_generated_graphs():
         )
         return ColoredGraph(n, comps)
 
-    # The reference works on all n^m coordinates; at n = 4 and level 2
-    # (so 64 coordinates at the buffer level) one graph takes up to 35 s,
-    # so level 2 is drawn for n <= 3 only.
+    # The reference works on all n^m coordinates, so level 3 is drawn for
+    # n <= 3 only (81 coordinates at the buffer level) and n = 4 stops at
+    # level 2 (64). The two examples make sure both largest cases run.
     @hypothesis.settings(max_examples=60, deadline=None, database=None)
-    @hypothesis.given(colored_graphs(), st.integers(0, 2))
+    @hypothesis.given(colored_graphs(), st.integers(0, 3))
+    @hypothesis.example(graph_from_lines(4, ["edge a 0 1", "arc b 1 2", "edge a 2 3"]), 2)
+    @hypothesis.example(graph_from_lines(3, ["edge a 0 1", "arc b 1 2"]), 3)
     def check(g, level):
-        level = min(level, 1 if g.n == 4 else 2)
+        level = min(level, 2 if g.n == 4 else 3)
         result = closure(g, ClosureConfig(max_level=level))
         top = len(result.buffered_dims) - 1
         assert result.dims == reference_closure(g, level, buffer=top - level)

@@ -1,19 +1,21 @@
-"""Exact matrices, characteristic polynomials, rational spectra, echelon bases."""
+"""Exact matrices, characteristic polynomials, rational spectra, and the
+reference engine's fraction-free echelon basis over the Gaussian integers."""
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from qsymgraph.linalg import (
-    EchelonBasis,
     ExactMatrix,
     char_poly,
     rational_eigenvalues,
     rational_roots,
 )
 from qsymgraph.scalars import GR_I, GaussianRational
+from reference_engine import EchelonBasis
 
 
 def test_matrix_ring_axioms_random():
@@ -100,7 +102,7 @@ def test_echelon_basis_rank_and_membership():
     basis = EchelonBasis(4)
     inserted = []
     for _ in range(40):
-        vec = [GaussianRational.of(rng.randint(-3, 3)) for _ in range(4)]
+        vec = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(4)]
         if basis.insert(list(vec)):
             inserted.append(vec)
         assert not basis.insert(list(vec))
@@ -108,27 +110,86 @@ def test_echelon_basis_rank_and_membership():
         if basis.rank == 4:
             break
     assert basis.rank == 4
-    # A random combination of inserted vectors is always in the span.
-    combo = [GaussianRational.of(0)] * 4
+    # A random Gaussian-integer combination of inserted vectors is always
+    # in the span.
+    combo = [(0, 0)] * 4
     for vec in inserted:
-        c = rng.randint(-2, 2)
-        combo = [acc + GaussianRational.of(c) * v for acc, v in zip(combo, vec)]
+        c_re, c_im = rng.randint(-2, 2), rng.randint(-2, 2)
+        combo = [
+            (a_re + c_re * re - c_im * im, a_im + c_re * im + c_im * re)
+            for (a_re, a_im), (re, im) in zip(combo, vec)
+        ]
     assert not basis.insert(combo)
     assert basis.rank == 4
 
 
 def test_echelon_basis_rejects_dependent():
     basis = EchelonBasis(3)
-    v = [GaussianRational.of(1), GaussianRational.of(2), GaussianRational.of(0)]
+    v = [(1, 0), (2, 0), (0, 0)]
     assert basis.insert(list(v))
-    doubled = [x * 2 for x in v]
+    doubled = [(2 * re, 2 * im) for re, im in v]
     assert not basis.insert(doubled)
+    assert not basis.insert([(0, 0)] * 3)
     assert basis.rank == 1
 
 
 def test_echelon_basis_complex_pivots():
     basis = EchelonBasis(2)
-    assert basis.insert([GR_I, GaussianRational.of(1)])
+    assert basis.insert([(0, 1), (1, 0)])
     # i * (i, 1) = (-1, i): dependent over the Gaussian rationals.
-    assert not basis.insert([GaussianRational.of(-1), GR_I])
+    assert not basis.insert([(-1, 0), (0, 1)])
+    # (1 + i) * (i, 1) = (-1 + i, 1 + i), whose entries share no integer
+    # factor: dependent only through a non-real multiplier.
+    assert not basis.insert([(-1, 1), (1, 1)])
     assert basis.rank == 1
+    assert basis.insert([(1, 0), (0, 1)])
+    assert basis.rank == 2
+
+
+def test_echelon_basis_matches_rational_elimination():
+    # Random Gaussian-integer vectors, some of them combinations of earlier
+    # ones with Gaussian-rational coefficients cleared of denominators;
+    # the rank after every insertion must match the exact rank of the
+    # prefix, computed by Gaussian elimination over Q(i).
+    rng = random.Random(77)
+    for width in (1, 3, 6):
+        basis = EchelonBasis(width)
+        seen: list[list[GaussianRational]] = []
+        for _ in range(3 * width + 2):
+            if seen and rng.random() < 0.4:
+                picks = rng.sample(seen, min(2, len(seen)))
+                coeffs = [
+                    GaussianRational.of(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                                        Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                    for _ in picks
+                ]
+                combo = [sum((c * p[k] for c, p in zip(coeffs, picks)), GaussianRational.of(0))
+                         for k in range(width)]
+                scale = 1
+                for z in combo:
+                    for q in (z.re, z.im):
+                        scale = scale * q.denominator // gcd(scale, q.denominator)
+                vec = [z * scale for z in combo]
+            else:
+                vec = [GaussianRational.of(rng.randint(-4, 4), rng.randint(-4, 4))
+                       for _ in range(width)]
+            seen.append(vec)
+            basis.insert([(int(z.re), int(z.im)) for z in vec])
+            assert basis.rank == rational_rank(seen)
+
+
+def rational_rank(vectors: list[list[GaussianRational]]) -> int:
+    rows = [list(v) for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank][col]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col] / lead
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank

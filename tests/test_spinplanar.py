@@ -18,7 +18,7 @@ from qsymgraph.graphs import (
 )
 from qsymgraph.linalg import ExactMatrix
 from qsymgraph.scalars import GaussianRational
-from qsymgraph.spinplanar import (
+from reference_engine import (
     SpinTensor,
     expect,
     graph_seeds,
