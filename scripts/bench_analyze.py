@@ -14,8 +14,8 @@ The package's lru caches are cleared before every call, so that each
 call starts as cold as a fresh `qsymgraph` command. Per corpus the script
 prints, as JSON, the number of inputs, a sha256 of the outputs (the
 analyze exit codes and documents; the closure dims, buffered dims, orbit
-counts, exact flags and convergence; the classification's kind, trail and
-factors) and the best of REPEAT timings of the whole corpus. Run it
+counts and exact flags; the classification's kind, trail and factors)
+and the best of REPEAT timings of the whole corpus. Run it
 on another checkout with `--src CHECKOUT/src` to compare two versions on
 the same corpus; `--corpus NAME` (repeatable) runs only the named corpora:
 
@@ -83,9 +83,7 @@ def corpora(names: list[str]) -> dict:
 
         def call() -> str:
             r = closure(g, cfg)
-            return json.dumps(
-                [r.dims, r.buffered_dims, r.orbit_counts, r.exact, r.converged]
-            )
+            return json.dumps([r.dims, r.buffered_dims, r.orbit_counts, r.exact])
 
         return call
 

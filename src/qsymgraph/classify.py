@@ -13,12 +13,13 @@ an ascending depth-first search would find. Groups too large to tabulate
 are rejected, as the criterion only accepts groups of order 2n.
 
 The module also hosts the small-graph enumeration: all regular graphs up
-to isomorphism on at most nine vertices, the vertex-transitive ones among
-them closed under complementation, each classified. Row v of a generated
-graph takes the leftmost vertices of each cell of later vertices alike on
-0..v-1, as swapping two of them fixes every earlier row and v. Duplicates
-go by the least adjacency bit string over all vertex relabelings, found
-by a depth-first search that prunes by the automorphisms it meets.
+to isomorphism on at most CENSUS_MAX_N vertices, the vertex-transitive
+ones among them closed under complementation, each classified. Row v of
+a generated graph takes the leftmost vertices of each cell of later
+vertices alike on 0..v-1, as swapping two of them fixes every earlier
+row and v. Duplicates go by the least adjacency bit string over all
+vertex relabelings, found by a depth-first search that prunes by the
+automorphisms it meets.
 """
 from __future__ import annotations
 
@@ -62,6 +63,9 @@ from .series import (
 )
 from .symmetry import _ELEMENT_CAP, PermutationGroup, automorphism_group
 
+# The most vertices canonical_key, regular_graph_reps and the census take.
+CENSUS_MAX_N = 9
+
 
 @dataclass(frozen=True)
 class Classification:
@@ -81,7 +85,6 @@ class Classification:
     generic: bool | None = None
     n: int | None = None
     factors: tuple["Classification", ...] = ()
-    converged: bool | None = None
 
     def __post_init__(self) -> None:
         if self.series is None and self.prefix is None:
@@ -302,14 +305,15 @@ def _unpacked(key: bytes, n: int) -> np.ndarray:
 
 
 def canonical_key(g: ColoredGraph) -> bytes:
-    """Isomorphism-invariant key for plain graphs on at most 9 vertices.
+    """Isomorphism-invariant key for plain graphs on at most CENSUS_MAX_N
+    vertices.
 
     The vertex count leads the key: the packed adjacency bits alone can
     coincide across sizes (any two edgeless graphs whose bit counts round
     up to the same byte length, for one).
     """
-    if g.n > 9:
-        raise GraphError("canonical keys are limited to 9 vertices")
+    if g.n > CENSUS_MAX_N:
+        raise GraphError(f"canonical keys are limited to {CENSUS_MAX_N} vertices")
     key, _ = _canonical_adjacency(_plain_adjacency(g))
     return bytes([g.n]) + key
 
@@ -373,8 +377,8 @@ def regular_graph_reps(n: int) -> list[ColoredGraph]:
     The denser half of the regular world is reachable from these by
     complementation, which is how the callers use it.
     """
-    if not 1 <= n <= 9:
-        raise GraphError("regular enumeration is limited to 9 vertices")
+    if not 1 <= n <= CENSUS_MAX_N:
+        raise GraphError(f"regular enumeration is limited to {CENSUS_MAX_N} vertices")
     degrees = range((n - 1) // 2 + 1)
     found = {_least_key(nbr) for k in degrees for nbr in _regular_completions(n, k)}
     return [_graph_from_adjacency(_unpacked(key, n)) for key in sorted(found)]
@@ -588,22 +592,25 @@ class FussCatalanMatch:
     rule: str
 
 
-def _index_tuples(n: int, s: int) -> list[tuple[int, ...]]:
-    """Ordered factorizations of n into s parts, each at least 2."""
-    out: list[tuple[int, ...]] = []
+def _simplex_shape(g: ColoredGraph) -> tuple[int, ...] | None:
+    """The only indices (n_1, ..., n_s) whose multi_simplex can be g.
 
-    def rec(prefix: list[int], rem: int) -> None:
-        if len(prefix) == s - 1:
-            if rem >= 2:
-                out.append(tuple(prefix) + (rem,))
-            return
-        for d in range(2, rem // 2 + 1):
-            if rem % d == 0:
-                rec(prefix + [d], rem // d)
-
-    if s >= 1:
-        rec([], n)
-    return out
+    Color i of multi_simplex(n_1, ..., n_s) has n(n_i - 1)·n_(i+1)⋯n_s / 2
+    edges, which falls strictly with i, so the color sizes, read from the
+    smallest, give n_s, n_(s-1), ..., n_1 in turn. None when they fit no
+    indices of at least 2 or a color is oriented.
+    """
+    if not g.n or not g.components or any(c.kind != UNORIENTED for c in g.components):
+        return None
+    ns: list[int] = []
+    tail = 1
+    for edges in sorted(len(c.pairs) for c in g.components):
+        step, rest = divmod(2 * edges, g.n * tail)
+        if rest or step < 1:
+            return None
+        ns.insert(0, step + 1)
+        tail *= step + 1
+    return tuple(ns) if tail == g.n else None
 
 
 def recognize_fuss_catalan(g: ColoredGraph) -> FussCatalanMatch | None:
@@ -639,11 +646,9 @@ def recognize_fuss_catalan(g: ColoredGraph) -> FussCatalanMatch | None:
         if n == 8 and is_isomorphic(g, disjoint_copies(2, n_gon(4))):
             return FussCatalanMatch((2, 2, 2), False, "two squares")
         return None
-    if all(c.kind == UNORIENTED for c in g.components):
-        s = len(g.components)
-        for t in _index_tuples(n, s):
-            if is_isomorphic(g, multi_simplex(*t)):
-                return FussCatalanMatch(t, all(m >= 4 for m in t), "multi-simplex")
+    t = _simplex_shape(g)
+    if t is not None and is_isomorphic(g, multi_simplex(*t)):
+        return FussCatalanMatch(t, all(m >= 4 for m in t), "multi-simplex")
     return None
 
 
@@ -781,28 +786,6 @@ def check_landau_relations(
     )
 
 
-def _simplex_indices(g: ColoredGraph) -> tuple[int, ...]:
-    """Indices of a graph built by multi_simplex, verified exactly."""
-    s = len(g.components)
-    if s == 0 or any(c.kind != UNORIENTED for c in g.components):
-        raise GraphError("not a multi-simplex: wrong component structure")
-    degs = [c.degree(0)[0] for c in g.components]
-    ns: list[int] = []
-    tail = 1
-    for i in range(s - 1, -1, -1):
-        if degs[i] % tail != 0:
-            raise GraphError("not a multi-simplex: degree pattern is off")
-        ns.insert(0, degs[i] // tail + 1)
-        tail *= ns[0]
-    if math.prod(ns) != g.n or any(m < 2 for m in ns):
-        raise GraphError("not a multi-simplex: sizes do not multiply up")
-    model = multi_simplex(*ns)
-    for got, want in zip(g.components, model.components):
-        if got.pairs != want.pairs:
-            raise GraphError("not a multi-simplex: edges do not match")
-    return tuple(ns)
-
-
 def landau_verify(g: ColoredGraph) -> LandauReport:
     """Build the averaging tower of a multi-simplex and check it.
 
@@ -810,7 +793,12 @@ def landau_verify(g: ColoredGraph) -> LandauReport:
     (vertices in product order, colors by first differing coordinate);
     anything else raises GraphError.
     """
-    ns = _simplex_indices(g)
+    ns = _simplex_shape(g)
+    if ns is None:
+        raise GraphError("not a multi-simplex: color sizes fit no indices")
+    for got, want in zip(g.components, multi_simplex(*ns).components):
+        if got.pairs != want.pairs:
+            raise GraphError("not a multi-simplex: edges do not match")
     s = len(ns)
     n = g.n
     radix = [math.prod(ns[i + 1 :]) for i in range(s)]
@@ -902,11 +890,11 @@ def classify(
         screen += f", loop counts uneven at length {bad_len} in color {bad_label}"
     trail.append(f"screen: {screen}")
 
-    def dims() -> tuple[tuple[int, ...], bool | None, str]:
+    def dims() -> tuple[tuple[int, ...], str]:
         if no_closure:
-            return (), None, "dims not computed, closures skipped"
+            return (), "dims not computed, closures skipped"
         res = closure(work, cfg)
-        return tuple(res.dims), res.converged, "computed dims " + ",".join(map(str, res.dims))
+        return tuple(res.dims), "computed dims " + ",".join(map(str, res.dims))
 
     work = g
     if denser_than_half(g):
@@ -935,14 +923,13 @@ def classify(
         trail.append(f"fuss-catalan: {match.rule}, indices ({inner})")
         series: PoincareSeries | None
         prefix: tuple[int, ...] | None = None
-        converged = None
         if len(match.indices) == 1:
             series = tl_series(match.indices[0])
         elif match.generic:
             series = FussCatalan(len(match.indices))
         else:
             series = None
-            prefix, converged, shown = dims()
+            prefix, shown = dims()
             trail.append("series: no closed form for small indices, " + shown)
         return Classification(
             kind="fuss_catalan",
@@ -951,7 +938,6 @@ def classify(
             prefix=prefix,
             indices=match.indices,
             generic=match.generic,
-            converged=converged,
         )
     trail.append("fuss-catalan: no match")
 
@@ -982,8 +968,8 @@ def classify(
                 continue
             n2 = work.n // n1
             # n1 <= n2, and factor candidates come from regular_graph_reps,
-            # which stops at 9 vertices.
-            if n2 > 9:
+            # which stops at CENSUS_MAX_N vertices.
+            if n2 > CENSUS_MAX_N:
                 skipped.append(f"{n1} x {n2}")
                 continue
             for y in product_factor_candidates(n1):
@@ -1004,15 +990,15 @@ def classify(
             )
         if skipped:
             trail.append(
-                "product: no admissible splitting into factors on at most 9 "
-                f"vertices; not tried: {', '.join(skipped)}"
+                "product: no admissible splitting into factors on at most "
+                f"{CENSUS_MAX_N} vertices; not tried: {', '.join(skipped)}"
             )
         else:
             trail.append("product: no admissible splitting")
     else:
         trail.append("product: not attempted")
 
-    prefix, converged, shown = dims()
+    prefix, shown = dims()
     trail.append("series: " + shown)
     if len(prefix) >= 4:
         hits = [
@@ -1028,7 +1014,6 @@ def classify(
         kind="unknown",
         trail=tuple(trail),
         prefix=prefix,
-        converged=converged,
     )
 
 
@@ -1076,8 +1061,8 @@ def enumerate_homogeneous(
     complementation, and every member classified. Complement partners
     share one classification run since their symmetries agree.
     """
-    if not 1 <= max_n <= 9:
-        raise ValueError("enumeration is limited to 9 vertices")
+    if not 1 <= max_n <= CENSUS_MAX_N:
+        raise ValueError(f"enumeration is limited to {CENSUS_MAX_N} vertices")
     if cfg is None:
         cfg = ClosureConfig(max_level=4)
     entries: list[EnumeratedGraph] = []

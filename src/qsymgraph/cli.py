@@ -17,7 +17,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .classify import Classification, classify, enumerate_homogeneous
+from .classify import CENSUS_MAX_N, Classification, classify, enumerate_homogeneous
 from .closure import ClosureConfig, ResourceCapError, closure
 from .graphs import ColoredGraph, GraphParseError, loop_rule_check, parse_graph
 from .series import (
@@ -66,8 +66,6 @@ def _classification_dict(c: Classification, terms: int) -> dict:
         d["series"] = _series_dict(c.series, terms)
     if c.prefix is not None:
         d["prefix"] = list(c.prefix)
-    if c.converged is not None:
-        d["converged"] = c.converged
     if c.factors:
         d["factors"] = [_classification_dict(f, terms) for f in c.factors]
     return d
@@ -137,7 +135,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     timings.append(("classify", time.perf_counter() - t0))
 
     dims: list[int] | None = None
-    converged = None
     t0 = time.perf_counter()
     if not args.no_closure and not capped:
         if (
@@ -146,12 +143,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             and len(classification.prefix) == args.max_level + 1
         ):
             dims = list(classification.prefix)
-            converged = classification.converged
         else:
             try:
                 res = closure(g, cfg)
                 dims = list(res.dims)
-                converged = res.converged
             except ResourceCapError as exc:
                 warnings.append(f"closure skipped: {exc}")
                 capped = True
@@ -197,7 +192,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         else {
             "levels": list(range(len(dims))),
             "dims": dims,
-            "converged": converged,
+            # Fixed by the qsymgraph/1 schema.
+            "converged": None,
         },
         "warnings": warnings,
     }
@@ -258,14 +254,7 @@ def _render_analysis(doc: dict, timings: list[tuple[str, float]]) -> None:
     c = doc["closure"]
     if c is not None:
         levels = f"levels 0..{c['levels'][-1]}"
-        conv = {True: "converged", False: "still growing", None: "not probed"}[
-            c["converged"]
-        ]
-        print(
-            "closure: dims "
-            + ", ".join(str(d) for d in c["dims"])
-            + f" over {levels}, convergence {conv}"
-        )
+        print("closure: dims " + ", ".join(str(d) for d in c["dims"]) + f" over {levels}")
     for w in doc["warnings"]:
         print(f"warning: {w}")
     shown = " | ".join(f"{name} {dt:.3f}s" for name, dt in timings)
@@ -327,8 +316,8 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    if not 1 <= args.max_vertices <= 9:
-        print("error: --max-vertices must be between 1 and 9", file=sys.stderr)
+    if not 1 <= args.max_vertices <= CENSUS_MAX_N:
+        print(f"error: --max-vertices must be between 1 and {CENSUS_MAX_N}", file=sys.stderr)
         return 2
     if args.max_level < 0:
         print("error: --max-level must be >= 0", file=sys.stderr)

@@ -78,9 +78,11 @@ default "words" policy keeps only rotated strand-lifts of the graph
 boxes and the cup-cap elements as letters, counting on words in these
 letters to fill the level; that is what makes the larger examples
 tractable. The "full" policy instead promotes every row accepted from a
-non-multiplicative operation to a letter, which is slower but
-self-contained; which rows those are, and so its letter span above level
-_LETTER_ALL_MAX, can depend on the order.
+non-multiplicative operation to a letter, which is self-contained but
+about 100 times slower at level 4 (the cube took 97.9 s against 1.2-1.4
+s); the tests keep it as the reference for "words" at level 4, where the
+exact reference engine is too slow. Which rows it promotes, and so its
+letter span above level _LETTER_ALL_MAX, can depend on the order.
 
 Each reported level is bounded on both sides. A run with a higher top
 level can only raise a dimension: every row the lower run accepts lies in
@@ -361,19 +363,14 @@ class ClosureConfig:
         exact, since more levels can only raise a dimension and none can
         exceed R_m (see the module docstring).
     letter_mode: "words" (default) or "full", see the module docstring.
-    verify_convergence: rerun with one more buffer level and require the
-        reported dimensions to agree; costly, so off by default, and
-        skipped when every reported level is exact.
     size_limit: refuse levels with more than this many raw tuples. The
         limit applies to the highest level the call may need, max_level
-        + buffer (one more with verify_convergence), even when the run
-        stops below it.
+        + buffer, even when the run stops below it.
     """
 
     max_level: int
     buffer: int = 1
     letter_mode: str = "words"
-    verify_convergence: bool = False
     size_limit: int = 2_000_000
 
 
@@ -387,7 +384,6 @@ class ClosureResult:
 
     dims: list[int]
     buffered_dims: list[int]
-    converged: bool | None
     orbit_counts: list[int]
     letter_counts: list[int]
     exact: list[bool]
@@ -395,13 +391,6 @@ class ClosureResult:
     @property
     def max_level(self) -> int:
         return len(self.dims) - 1
-
-
-def _check_size(n: int, top: int, size_limit: int) -> None:
-    if n**top > size_limit:
-        raise ResourceCapError(
-            f"level {top} has {n**top} tuples, over the limit {size_limit}"
-        )
 
 
 class _Engine:
@@ -711,15 +700,14 @@ def closure(g: ColoredGraph, config: ClosureConfig) -> ClosureResult:
     R_m is exact: a run carried buffer levels higher can only raise a
     dimension, and no dimension can exceed R_m (see the module
     docstring). When every reported level is exact, that run is the
-    result, and the convergence probe is skipped, its dimensions being
-    caught between the same bounds. Otherwise the run is repeated buffer
-    levels higher, so that material can flow up and come back down; the
-    convergence check then verifies that one more level changes nothing.
-    A certified input therefore never reaches the buffer levels, nor any
-    ModularMismatchError that only they would have raised.
+    result. Otherwise the run is repeated buffer levels higher, so that
+    material can flow up and come back down. A certified input therefore
+    never reaches the buffer levels, nor any ModularMismatchError that
+    only they would have raised.
 
-    The size limit is checked once, against the highest level the call
-    may need, before any engine is built.
+    This is the one place that builds engines: the size limit is checked
+    once, against the highest level the call may need, and Aut(X) looked
+    up once, before any engine is built.
     """
     if config.max_level < 0:
         raise ValueError("max_level must be >= 0")
@@ -727,7 +715,10 @@ def closure(g: ColoredGraph, config: ClosureConfig) -> ClosureResult:
         raise ValueError("buffer must be >= 0")
     low = max(2, config.max_level)
     top = max(2, config.max_level + config.buffer)
-    _check_size(g.n, top + 1 if config.verify_convergence else top, config.size_limit)
+    if g.n**top > config.size_limit:
+        raise ResourceCapError(
+            f"level {top} has {g.n**top} tuples, over the limit {config.size_limit}"
+        )
     aut = automorphism_group(g)
     reported = slice(config.max_level + 1)
 
@@ -741,14 +732,9 @@ def closure(g: ColoredGraph, config: ClosureConfig) -> ClosureResult:
         engine = run(top)
     exact = [b.saturated for b in engine.bases[reported]]
     all_dims = engine.dims()
-    dims = all_dims[reported]
-    converged: bool | None = None
-    if config.verify_convergence:
-        converged = all(exact) or run(top + 1).dims()[reported] == dims
     return ClosureResult(
-        dims=dims,
+        dims=all_dims[reported],
         buffered_dims=all_dims,
-        converged=converged,
         orbit_counts=[lv.R for lv in engine.levels],
         letter_counts=engine.letter_counts,
         exact=exact,
@@ -795,11 +781,7 @@ def bounded_c1(
     built from loop counts (empty in the odd case that loop counts up to
     length 6 stay constant even though the engine found a splitting).
     """
-    top = max(2, ceiling)
-    _check_size(g.n, top, ClosureConfig.size_limit)
-    engine = _Engine(g, top, "words", automorphism_group(g))
-    engine.run(g)
-    rank = engine.bases[1].rank
+    rank = closure(g, ClosureConfig(max_level=max(ceiling, 0), buffer=0)).buffered_dims[1]
     if rank <= 1:
         return rank, []
     return rank, _loop_certificate(g)

@@ -104,6 +104,25 @@ def test_fast_engine_matches_exact_reference(g, level):
 
 
 @pytest.mark.parametrize(
+    "g,top",
+    [
+        (oriented_n_gon(3), 4),
+        (n_gon(4), 3),
+        (graph_from_lines(4, ["edge a 0 1", "arc b 1 2", "edge a 2 3"]), 3),
+    ],
+    ids=["oriented3", "square", "edge_arc_edge"],
+)
+def test_engine_top_level_matches_exact_reference(g, top):
+    # Every input small enough for the reference is certified at buffer 0,
+    # so closure() never returns a buffered run on them. Run the engine
+    # directly: its top level, the one a buffered run reads its buffer
+    # from, must agree with the reference at every level.
+    engine = closure_module._Engine(g, top, "words", automorphism_group(g))
+    engine.run(g)
+    assert engine.dims() == reference_closure(g, top, buffer=0)
+
+
+@pytest.mark.parametrize(
     "g,expected",
     [
         (DIAGONAL_SQUARE, [1, 1, 4, 16]),
@@ -167,14 +186,6 @@ def test_letter_modes_agree_at_level_four(name):
     assert dims_of(g, 4, letter_mode="words") == dims_of(g, 4, letter_mode="full")
 
 
-def test_convergence_probe():
-    result = closure(edgeless(3), ClosureConfig(max_level=3, verify_convergence=True))
-    assert result.converged is True
-    plain = closure(edgeless(3), ClosureConfig(max_level=3))
-    assert plain.converged is None
-    assert plain.dims == result.dims
-
-
 def test_buffered_dims_extend_reported_dims():
     # Level 4 of the four points falls short of its orbit count, so the
     # buffer levels are carried.
@@ -219,16 +230,14 @@ def test_certified_input_builds_one_engine_and_one_group(monkeypatch):
 
     monkeypatch.setattr(closure_module, "_Engine", CountingEngine)
     monkeypatch.setattr(closure_module, "automorphism_group", counting_group)
-    cfg = ClosureConfig(max_level=3, buffer=2, verify_convergence=True)
-    result = closure(n_gon(6), cfg)
-    assert result.converged is True and all(result.exact)
+    result = closure(n_gon(6), ClosureConfig(max_level=3, buffer=2))
+    assert all(result.exact)
     assert (engines, len(groups)) == ([3], 1)
     engines.clear()
     groups.clear()
-    cfg = ClosureConfig(max_level=4, verify_convergence=True)
-    result = closure(edgeless(4), cfg)
-    assert result.converged is True and not result.exact[4]
-    assert (engines, len(groups)) == ([4, 5, 6], 1)
+    result = closure(edgeless(4), ClosureConfig(max_level=4))
+    assert not result.exact[4]
+    assert (engines, len(groups)) == ([4, 5], 1)
 
 
 def test_dims_ignore_complement():
@@ -277,15 +286,13 @@ def test_size_cap_refusal():
 def test_size_cap_applies_to_the_buffer_level(monkeypatch):
     # 5^9 tuples fit under the default limit and 5^10 do not; the buffer
     # level is refused before any engine is built, even though the pentagon
-    # would be certified without it. So is the convergence probe's level.
+    # would be certified without it.
     def no_engine(*args):
         raise AssertionError("an engine was built")
 
     monkeypatch.setattr(closure_module, "_Engine", no_engine)
     with pytest.raises(ResourceCapError, match="level 10"):
         closure(n_gon(5), ClosureConfig(max_level=9))
-    with pytest.raises(ResourceCapError, match="level 4"):
-        closure(n_gon(5), ClosureConfig(max_level=2, verify_convergence=True, size_limit=5**3))
 
 
 def test_c1_bound_splits_mixed_union():
