@@ -8,7 +8,13 @@ Corpora:
 - level4: `closure` at level 4 (buffer 1) on the cube, the two squares and
   the octagon;
 - rook: `classify` of K2 x (3 x 3 rook's graph), 18 vertices, at level 3
-  without closures.
+  without closures;
+- random: `closure` at level 3 (buffer 1) of two graphs with a trivial
+  group, on 8 and 10 vertices, each edge drawn with probability 0.4 from
+  `random.Random(5)` (dims 1, 8, 64, 512 and 1, 10, 100, 1000, every level
+  exact). Each level has n^m orbits, so the engine multiplies many rows
+  and letters, and a block can mix the products of a new row with those
+  of a new letter.
 
 The package's lru caches are cleared before every call, so that each
 call starts as cold as a fresh `qsymgraph` command. Per corpus the script
@@ -29,6 +35,7 @@ import hashlib
 import importlib
 import io
 import json
+import random
 import sys
 import time
 from pathlib import Path
@@ -47,6 +54,8 @@ SKIPPED = frozenset(
     }
 )
 LEVEL4 = ("cube", "two-squares", "octagon")
+RANDOM = (8, 10)
+CORPORA = ["analyze", "closure", "level4", "rook", "random"]
 
 
 def clear_caches() -> None:
@@ -99,12 +108,19 @@ def corpora(names: list[str]) -> dict:
         c = classify(x, ClosureConfig(max_level=3), no_closure=True)
         return json.dumps([c.kind, list(c.trail), [f.describe() for f in c.factors]])
 
+    def random_graph(n: int):
+        rng = random.Random(5)
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        edges = [f"edge e {a} {b}" for a, b in pairs if rng.random() < 0.4]
+        return parse_graph(f"vertices {n}\n" + "\n".join(edges) + "\n")
+
     files = sorted(p for p in (ROOT / "graphs").glob("*.graph") if p.stem not in SKIPPED)
     out = {
         "analyze": [analyze(p) for p in files],
         "closure": [dims(parse_graph(p.read_text()), 3) for p in files],
         "level4": [dims(graph(name), 4) for name in LEVEL4],
         "rook": [rook],
+        "random": [dims(random_graph(n), 3) for n in RANDOM],
     }
     return {name: out[name] for name in names}
 
@@ -128,12 +144,10 @@ def measure(calls: list) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"))
-    parser.add_argument(
-        "--corpus", action="append", choices=["analyze", "closure", "level4", "rook"]
-    )
+    parser.add_argument("--corpus", action="append", choices=CORPORA)
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
-    names = args.corpus or ["analyze", "closure", "level4", "rook"]
+    names = args.corpus or CORPORA
     results = {name: measure(calls) for name, calls in corpora(names).items()}
     print(json.dumps(results, indent=2))
     return 0

@@ -36,14 +36,16 @@ Candidates are reduced a block at a time, in the manner of the blocked
 word-size prime-field elimination of Dumas, Giorgi and Pernet (FFLAS and
 FFPACK, ACM TOMS 2008). Each level keeps a FIFO queue; the engine takes
 up to _BLOCK items from the level whose head item is oldest, materialises
-them, reduces the whole block against the basis with one matrix product
-per prime, drops the rows that vanish under both primes, eliminates the
-survivors one by one in block order, and clears the new pivot columns
-from the old rows with one more product. Taking the oldest head matters
-for speed, not for the result: draining the lowest level with pending
-items first gives the same dimensions but, on a random 8-vertex graph
-with a trivial group at level 3, materialises 116,544 level-3
-candidates against 854 and runs about 30 times longer.
+them (the products by at most two cross products of rows and letters, one
+for the items queued for a new row and one for those queued for a new
+letter), reduces the whole block against the basis with one matrix
+product per prime, drops the rows that vanish under both primes,
+eliminates the survivors one by one in block order, and clears the new
+pivot columns from the old rows with one more product. Taking the oldest
+head matters for speed, not for the result: draining the lowest level
+with pending items first gives the same dimensions but, on a random
+8-vertex graph with a trivial group at level 3, materialises 116,544
+level-3 candidates against 854 and runs about 30 times longer.
 
 The processing order cannot change the dimensions. The space computed at
 each level is the smallest family of subspaces that contains the seeds
@@ -537,8 +539,10 @@ class _Engine:
     # Queue items name the row they come from instead of carrying a vector:
     # ("vec", v) an explicit vector; ("rot", i) and ("star", i) row i of this
     # level; ("incl", i) row i of the level below; ("expect", i) row i of the
-    # level above; ("mul", i, j) row i times letter j. The row is read when
-    # the item is materialised, which the module docstring shows is enough.
+    # level above; ("mul", i, j) and ("lmul", i, j) row i times letter j,
+    # queued for a new row i and for a new letter j respectively. The row is
+    # read when the item is materialised, which the module docstring shows
+    # is enough.
 
     def _push(self, m: int, item: tuple) -> None:
         self.queues[m].append((next(self._stamp), item))
@@ -550,21 +554,22 @@ class _Engine:
     def _materialise(self, m: int, items: list[tuple]) -> np.ndarray:
         """The candidate vectors of the items, one gather per kind.
 
-        The products are taken as one cross product of their rows and
-        letters when at most half of it goes unused, else one letter at a
-        time. The second path serves the blocks at levels up to
-        _LETTER_ALL_MAX that mix one new row's products on both sides;
-        with the cross product alone, closures at level 3 of random graphs
-        with a trivial group on 8 and 10 vertices took 13% and 30% longer.
+        The products are taken as one cross product per kind, of the
+        distinct rows and letters its items name. Each kind pairs a few new
+        factors with every factor of the other side that came before them,
+        so its cross product is nearly all used, and a block takes at most
+        two _apply_letters calls. A cross product over both kinds at once
+        would pair every row with every letter of the block and, at levels
+        up to _LETTER_ALL_MAX, go mostly unused.
         """
         block = np.empty((2, len(items), self.levels[m].R))
         images: dict[str, tuple[list[int], list[int]]] = {}
-        products: list[tuple[int, int, int]] = []
+        products: dict[str, list[tuple[int, int, int]]] = {}
         for pos, item in enumerate(items):
             if item[0] == "vec":
                 block[:, pos] = item[1]
-            elif item[0] == "mul":
-                products.append((pos, item[1], item[2]))
+            elif item[0] in ("mul", "lmul"):
+                products.setdefault(item[0], []).append((pos, item[1], item[2]))
             else:
                 at, idx = images.setdefault(item[0], ([], []))
                 at.append(pos)
@@ -579,20 +584,11 @@ class _Engine:
             src, op = ops[kind]
             block[:, at] = op(src, self.bases[src].rows[:, idx])
         if products:
-            row_ids = sorted({i for _, i, _ in products})
-            letter_ids = sorted({j for _, _, j in products})
-            if len(row_ids) * len(letter_ids) <= 2 * len(products):
-                groups = [(products, row_ids, letter_ids)]
-            else:
-                by_letter: dict[int, list[tuple[int, int, int]]] = {}
-                for pr in products:
-                    by_letter.setdefault(pr[2], []).append(pr)
-                groups = [
-                    (prs, sorted({i for _, i, _ in prs}), [j]) for j, prs in by_letter.items()
-                ]
             table, letter_table = self._mult_tables_for(m)
             rows = self.bases[m].rows
-            for prs, row_ids, letter_ids in groups:
+            for prs in products.values():
+                row_ids = sorted({i for _, i, _ in prs})
+                letter_ids = sorted({j for _, _, j in prs})
                 if m <= _LETTER_ALL_MAX:
                     # The letters are basis rows, gathered as _register_letter
                     # stores them.
@@ -619,10 +615,11 @@ class _Engine:
             self._push(m - 1, ("expect", idx))
         if m <= _LETTER_ALL_MAX:
             # The rows are the letters: queue every product pair whose
-            # larger index is idx, on either side.
+            # larger index is idx: idx as a new row times the letters before
+            # it, and the rows up to idx times idx as a new letter.
             self.letter_counts[m] = idx + 1
             self._push_all(m, zip(repeat("mul"), repeat(idx), range(idx)))
-            self._push_all(m, zip(repeat("mul"), range(idx + 1), repeat(idx)))
+            self._push_all(m, zip(repeat("lmul"), range(idx + 1), repeat(idx)))
             return
         self._push_all(m, zip(repeat("mul"), repeat(idx), range(self.letter_counts[m])))
         if self.letter_mode == "full" and origin != "mult":
@@ -643,7 +640,7 @@ class _Engine:
             self.letters[m] = store
         store[..., j] = letter
         self.letter_counts[m] = j + 1
-        self._push_all(m, zip(repeat("mul"), range(nrows), repeat(j)))
+        self._push_all(m, zip(repeat("lmul"), range(nrows), repeat(j)))
 
     def _core_letters(self, g: ColoredGraph) -> None:
         """Rotated strand-lifts of boxes and cup-caps, the "words" letters
@@ -686,7 +683,8 @@ class _Engine:
             items = [queue.popleft()[1] for _ in range(min(_BLOCK, len(queue)))]
             rank = basis.rank
             for t, pos in enumerate(basis.insert_block(self._materialise(m, items))):
-                self._accepted(m, rank + t, "mult" if items[pos][0] == "mul" else "op")
+                origin = "mult" if items[pos][0] in ("mul", "lmul") else "op"
+                self._accepted(m, rank + t, origin)
 
     def dims(self) -> list[int]:
         return [b.rank for b in self.bases]

@@ -5,6 +5,7 @@ eigenvalue extraction through the rational-root theorem.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -155,11 +156,11 @@ def rational_roots(poly: Sequence[Fraction]) -> tuple[dict[Fraction, int], int]:
     while len(p) > 1:
         lcm = 1
         for c in p:
-            lcm = lcm * c.denominator // __import__("math").gcd(lcm, c.denominator)
+            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
         z = [int(c * lcm) for c in p]
         g = 0
         for c in z:
-            g = __import__("math").gcd(g, c)
+            g = math.gcd(g, c)
         if g > 1:
             z = [c // g for c in z]
         found = None

@@ -129,23 +129,6 @@ def format_gaussian(z: GaussianRational) -> str:
     return format_fraction(z.re) + sign + im_part
 
 
-def parse_gaussian(s: str) -> GaussianRational:
-    text = s.strip()
-    if not text.endswith("*i"):
-        return GaussianRational(Fraction(text))
-    body = text[:-2]
-    # Split at the sign separating real and imaginary parts, skipping a
-    # leading sign and any sign inside the fractions (there are none since
-    # fractions are rendered with the sign up front).
-    for k in range(len(body) - 1, 0, -1):
-        if body[k] in "+-" and body[k - 1] not in "+-/":
-            re = Fraction(body[:k])
-            im = Fraction(body[k] + body[k + 1 :]) if body[k + 1 :] else Fraction(body[k] + "1")
-            return GaussianRational(re, im)
-    # Pure imaginary like "3/4*i" or "-2*i"
-    return GaussianRational(_ZERO, Fraction(body))
-
-
 # ---------------------------------------------------------------------------
 # Polynomials over Q, dense little-endian coefficient lists.
 
@@ -294,6 +277,7 @@ def _reduce_mod_phi(n: int, poly: list[Fraction]) -> tuple[Fraction, ...]:
     return tuple(rem[:deg])
 
 
+@lru_cache(maxsize=None)
 def cyclotomic_power(n: int, k: int) -> CyclotomicElement:
     """zeta_n^k as an exact field element (k taken modulo n)."""
     if n < 1:

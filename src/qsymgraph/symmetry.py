@@ -191,12 +191,6 @@ def fixed_point_histogram(group: PermutationGroup) -> dict[int, int]:
     return {m: c for m, c in enumerate(counts.tolist()) if c}
 
 
-def classical_series_coefficient(group: PermutationGroup, k: int) -> Fraction:
-    """Average of (number of fixed vertices)^k over the group; for k = 0
-    this is 1 (empty product), matching the convention c_0 = 1."""
-    return RationalSum.from_histogram(fixed_point_histogram(group)).coefficient(k)
-
-
 def classical_series_prefix(group: PermutationGroup, count: int) -> list[Fraction]:
     return RationalSum.from_histogram(fixed_point_histogram(group)).prefix(count)
 

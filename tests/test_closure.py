@@ -240,6 +240,32 @@ def test_certified_input_builds_one_engine_and_one_group(monkeypatch):
     assert (engines, len(groups)) == ([4, 5], 1)
 
 
+@pytest.mark.parametrize(
+    ("g", "level", "mode"),
+    [(n_gon(6), 4, "words"), (oriented_n_gon(5), 3, "words"), (n_gon(6), 3, "full")],
+    ids=["hexagon-4", "oriented5-3", "hexagon-3-full"],
+)
+def test_each_block_takes_at_most_two_letter_products(monkeypatch, g, level, mode):
+    # One cross product for the items queued for a new row, one for those
+    # queued for a new letter.
+    calls = []
+    apply_letters = closure_module._apply_letters
+    materialise = closure_module._Engine._materialise
+
+    def counting_apply(*args):
+        calls[-1] += 1
+        return apply_letters(*args)
+
+    def counting_materialise(self, m, items):
+        calls.append(0)
+        return materialise(self, m, items)
+
+    monkeypatch.setattr(closure_module, "_apply_letters", counting_apply)
+    monkeypatch.setattr(closure_module._Engine, "_materialise", counting_materialise)
+    closure(g, ClosureConfig(max_level=level, letter_mode=mode))
+    assert 0 < max(calls) <= 2
+
+
 def test_dims_ignore_complement():
     for g in (n_gon(5), n_gon(4)):
         assert dims_of(complement(g), 3) == dims_of(g, 3)
