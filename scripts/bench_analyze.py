@@ -7,6 +7,8 @@ Corpora:
 - closure: `closure` alone at level 3 (buffer 1) on the same files;
 - level4: `closure` at level 4 (buffer 1) on the cube, the two squares and
   the octagon;
+- level5: `closure` at level 5 without the buffer on the cube and the two
+  squares, whose level 5 has 816 and 616 orbits;
 - rook: `classify` of K2 x (3 x 3 rook's graph), 18 vertices, at level 3
   without closures;
 - random: `closure` at level 3 (buffer 1) of two graphs with a trivial
@@ -21,7 +23,9 @@ call starts as cold as a fresh `qsymgraph` command. Per corpus the script
 prints, as JSON, the number of inputs, a sha256 of the outputs (the
 analyze exit codes and documents; the closure dims, buffered dims, orbit
 counts and exact flags; the classification's kind, trail and factors)
-and the best of REPEAT timings of the whole corpus. Run it
+and the best of REPEAT timings of the whole corpus; the key peak_rss_mib
+holds the process's peak resident memory (ru_maxrss) after every corpus
+it ran, so run one corpus per process to read a corpus's peak. Run it
 on another checkout with `--src CHECKOUT/src` to compare two versions on
 the same corpus; `--corpus NAME` (repeatable) runs only the named corpora:
 
@@ -36,6 +40,7 @@ import importlib
 import io
 import json
 import random
+import resource
 import sys
 import time
 from pathlib import Path
@@ -54,8 +59,9 @@ SKIPPED = frozenset(
     }
 )
 LEVEL4 = ("cube", "two-squares", "octagon")
+LEVEL5 = ("cube", "two-squares")
 RANDOM = (8, 10)
-CORPORA = ["analyze", "closure", "level4", "rook", "random"]
+CORPORA = ["analyze", "closure", "level4", "level5", "rook", "random"]
 
 
 def clear_caches() -> None:
@@ -87,8 +93,8 @@ def corpora(names: list[str]) -> dict:
 
         return call
 
-    def dims(g, level: int):
-        cfg = ClosureConfig(max_level=level)
+    def dims(g, level: int, buffer: int = 1):
+        cfg = ClosureConfig(max_level=level, buffer=buffer)
 
         def call() -> str:
             r = closure(g, cfg)
@@ -119,6 +125,7 @@ def corpora(names: list[str]) -> dict:
         "analyze": [analyze(p) for p in files],
         "closure": [dims(parse_graph(p.read_text()), 3) for p in files],
         "level4": [dims(graph(name), 4) for name in LEVEL4],
+        "level5": [dims(graph(name), 5, buffer=0) for name in LEVEL5],
         "rook": [rook],
         "random": [dims(random_graph(n), 3) for n in RANDOM],
     }
@@ -149,6 +156,7 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, args.src)
     names = args.corpus or CORPORA
     results = {name: measure(calls) for name, calls in corpora(names).items()}
+    results["peak_rss_mib"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     print(json.dumps(results, indent=2))
     return 0
 

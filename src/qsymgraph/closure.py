@@ -32,6 +32,19 @@ with one exact np.remainder call, and a larger one by a floor-and-correct
 path of about ten calls that is several times cheaper per element (the
 crossover was measured at 700-900 elements on a 2-vCPU host).
 
+Memory is set by the largest level's basis, whose rows tend toward R x R
+residues per prime. Each basis allocates its rows once, at (2, R, R), with
+np.zeros, and never copies them: a large calloc block is fresh pages from
+the operating system, zero without being written, so only the pages of
+rows actually adjoined become resident, and a level that stops short of R
+rows never pays for the rest. Growing the rows by doubling copies would
+keep the old and the new array alive together: the octagon at level 4,
+whose buffer level has 2,056 orbits, peaked at 241 MiB that way against
+179 MiB. Because the rows are allocated up front, an allocation the
+system refuses fails when the engine is built, before any work is done.
+Below glibc's mmap threshold a calloc block may come from the heap and be
+zero-filled in full; on the measured inputs that raised no peak.
+
 Candidates are reduced a block at a time, in the manner of the blocked
 word-size prime-field elimination of Dumas, Giorgi and Pernet (FFLAS and
 FFPACK, ACM TOMS 2008). Each level keeps a FIFO queue; the engine takes
@@ -148,13 +161,19 @@ class _Level:
     """Orbit structure of the automorphism group acting on m-tuples.
 
     A tuple is coded base n, its first vertex the most significant digit;
-    perms gives each generator's action on the codes."""
+    perms gives each generator's action on the codes. Each code is
+    labelled by the minimum of its orbit, so the representatives (reps,
+    ascending) are the fixed points of the label map, and a code's dense
+    orbit index counts the representatives up to its label. numpy's unique
+    and searchsorted would give the same arrays, but in numpy 2.4 unique
+    imports numpy.ma, which costs every process about 1.25 MiB resident
+    and 10-15 ms at its first closure."""
 
     __slots__ = ("m", "reps", "R", "orbit_dense")
 
     def __init__(self, n: int, m: int, perms: list[np.ndarray]):
         self.m = m
-        labels = np.arange(n**m, dtype=np.int64)
+        labels = codes = np.arange(n**m, dtype=np.int64)
         if perms and m > 0:
             # Labels only fall, to codes in the same orbit; the one fixed
             # point, whatever the order of the updates, is the orbit minimum.
@@ -166,9 +185,10 @@ class _Level:
                 if np.array_equal(merged, labels):
                     break
                 labels = merged
-        self.reps = np.unique(labels)
+        fixed = labels == codes
+        self.reps = np.flatnonzero(fixed)
         self.R = len(self.reps)
-        self.orbit_dense = np.searchsorted(self.reps, labels).astype(np.int64)
+        self.orbit_dense = (np.cumsum(fixed) - 1)[labels]
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +230,8 @@ def _mod(x: np.ndarray) -> np.ndarray:
     p, inverse = _PRIME_AXES[x.ndim - 1]
     if x.size <= _REMAINDER_MAX:
         return np.remainder(x, p, out=x)
-    q = np.floor(x * inverse)
+    q = x * inverse
+    np.floor(q, out=q)  # in place: each large temporary costs fresh page faults
     q *= p
     x -= q
     np.add(x, p, out=x, where=x < 0)
@@ -228,6 +249,13 @@ def _submul_mod(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _ModBasis:
+    """A reduced echelon basis modulo both primes of vectors of length width.
+
+    rows[:, :rank] are the basis rows. All width rows are allocated at
+    construction, zero, and never reallocated: the rank cannot exceed the
+    width, and pages past the rank are never written, so they take no
+    resident memory (module docstring)."""
+
     __slots__ = ("width", "rank", "pivcols", "pivotal", "rows")
 
     def __init__(self, width: int):
@@ -235,7 +263,7 @@ class _ModBasis:
         self.rank = 0
         self.pivcols = np.empty(0, dtype=np.intp)
         self.pivotal = np.zeros(width, dtype=bool)
-        self.rows = np.zeros((2, 4, width))
+        self.rows = np.zeros((2, width, width))
 
     @property
     def saturated(self) -> bool:
@@ -302,15 +330,10 @@ class _ModBasis:
         if r:
             old = self.rows[:, :r, free]
             self.rows[:, :r, free] = _submul_mod(old, old[:, :, leads], new)
-        t = len(accepted)
-        if r + t > self.rows.shape[1]:
-            grown = np.zeros((2, max(2 * self.rows.shape[1], r + t), self.width))
-            grown[:, :r] = self.rows[:, :r]
-            self.rows = grown
-        self.rows[:, r : r + t, free] = new
+        self.rows[:, r : r + len(accepted), free] = new
         self.pivcols = np.concatenate([self.pivcols, free[leads]])
         self.pivotal[free[leads]] = True
-        self.rank = r + t
+        self.rank = r + len(accepted)
         return live[accepted].tolist()
 
 

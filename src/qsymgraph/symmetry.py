@@ -186,9 +186,16 @@ def _transversal(n: int, tree: dict) -> tuple[Permutation, ...]:
 
 
 def fixed_point_histogram(group: PermutationGroup) -> dict[int, int]:
-    """How many elements fix exactly m vertices, for each occurring m."""
-    counts = np.bincount((group.table == np.arange(group.n)).sum(axis=1))
-    return {m: c for m, c in enumerate(counts.tolist()) if c}
+    """How many elements fix exactly m vertices, for each occurring m.
+
+    Fixed points are counted one vertex at a time into the narrowest
+    integer type that holds n, so that no order x n temporary is built."""
+    table = group.table
+    fixed = np.zeros(len(table), dtype=np.min_scalar_type(group.n))
+    for v in range(group.n):
+        fixed += table[:, v] == v
+    counts = (int(np.count_nonzero(fixed == m)) for m in range(group.n + 1))
+    return {m: c for m, c in enumerate(counts) if c}
 
 
 def classical_series_prefix(group: PermutationGroup, count: int) -> list[Fraction]:

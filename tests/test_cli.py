@@ -300,6 +300,30 @@ def test_repeated_calls_match_a_first_call(pentagon_file, capsys, monkeypatch):
         assert in_process(argv) == first[tuple(argv)], argv
 
 
+def test_commands_never_import_numpy_ma():
+    # np.unique imports numpy.ma (numpy 2.4), which costs a process about
+    # 1.25 MiB resident and 10-15 ms; none of these commands may pull it in.
+    runs = [
+        ["analyze", str(GRAPHS_DIR / "cube.graph"), "--json"],
+        ["analyze", str(GRAPHS_DIR / "oriented-ngon-5.graph"), "--json"],
+        ["enumerate", "--max-vertices", "7", "--json"],
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from qsymgraph.cli import main\n"
+        "codes = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(main(argv))\n"
+        "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(runs)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 0, 0], False]
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "qsymgraph.cli", "series", "tl", "2", "--terms", "4"],

@@ -464,6 +464,22 @@ def test_insert_block_with_small_chunks(monkeypatch):
             check_block_insertion(seed)
 
 
+def test_mod_basis_allocates_its_rows_once():
+    # The rows are allocated at full width up front and never copied: a
+    # growth copy holds two row arrays at once, which sets the peak memory
+    # of the largest levels.
+    width = 9
+    basis = _ModBasis(width)
+    rows = basis.rows
+    assert rows.shape == (2, width, width)
+    rng = random.Random(11)
+    while not basis.saturated:
+        block = [[rng.randint(-4, 4) for _ in range(width)] for _ in range(3)]
+        basis.insert_block(residues(block))
+        assert basis.rows is rows
+    assert basis.rank == width
+
+
 def test_mismatch_under_one_prime_raises():
     p0 = int(_PRIMES[0])
     # Zero modulo the first prime only, against an empty basis.

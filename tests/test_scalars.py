@@ -57,7 +57,7 @@ def test_gaussian_conjugate_norm():
         (GaussianRational.of(5, -3), "5-3*i"),
     ],
 )
-def test_gaussian_format_parse_round_trip(z, text):
+def test_gaussian_format(z, text):
     assert format_gaussian(z) == text
 
 
