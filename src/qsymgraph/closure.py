@@ -39,7 +39,7 @@ the operating system, zero without being written, so only the pages of
 rows actually adjoined become resident, and a level that stops short of R
 rows never pays for the rest. Growing the rows by doubling copies would
 keep the old and the new array alive together: the octagon at level 4,
-whose buffer level has 2,056 orbits, peaked at 241 MiB that way against
+run through level 5 (2,056 orbits), peaked at 241 MiB that way against
 179 MiB. Because the rows are allocated up front, an allocation the
 system refuses fails when the engine is built, before any work is done.
 Below glibc's mmap threshold a calloc block may come from the heap and be
@@ -71,8 +71,8 @@ A queued item is taken of the rows' values when it is processed, each of
 which differs from its value when accepted only by multiples of rows
 accepted later, whose images and products are queued as well; so once
 the queues run dry the span of each basis is closed, whatever the order.
-The letter spans above _LETTER_ALL_MAX do not depend on the order either:
-the "words" letters are fixed vectors.
+The letters above _LETTER_ALL_MAX are fixed vectors, so their span does
+not depend on the order either.
 
 Every color is seeded by its real 0/1 arc matrix A, symmetric for an
 edge color and one-way for an oriented one: a magic unitary commutes
@@ -83,38 +83,37 @@ spaces. A^T needs no seed of its own, because it is the star of A at
 level 2 and the star of every basis vector is queued.
 
 Multiplicative saturation multiplies basis vectors on the right by a
-letter set. Up to level _LETTER_ALL_MAX, in both policies, the letters
-are the level's basis rows, read when a product is taken: plain algebra
-closure. The "words" letters (seeds, their stars, inclusions, rotations
-and the Jones vectors) are generated, so they lie in that space and add
-nothing there: the letter span is the level's own space either way, and
-both closures have the same least fixed point. Above that level the
-default "words" policy keeps only rotated strand-lifts of the graph
-boxes and the cup-cap elements as letters, counting on words in these
-letters to fill the level; that is what makes the larger examples
-tractable. The "full" policy instead promotes every row accepted from a
-non-multiplicative operation to a letter, which is self-contained but
-about 100 times slower at level 4 (the cube took 97.9 s against 1.2-1.4
-s); the tests keep it as the reference for "words" at level 4, where the
-exact reference engine is too slow. Which rows it promotes, and so its
-letter span above level _LETTER_ALL_MAX, can depend on the order.
+letter set. Up to level _LETTER_ALL_MAX (4) the letters are the level's
+basis rows, read when a product is taken: each of these levels is closed
+as an algebra, as every level of the planar algebra is. From level 5 on
+the letters are the "words" letters: rotated strand-lifts of the graph
+boxes and the cup-cap elements, counting on words in these letters to
+fill the level. They are generated, so they lie in the level's space;
+they would add nothing to a level closed as an algebra, and both letter
+sets have the same least fixed point. Closing level 4 as an algebra
+certifies the octagon and the ten-vertex circulant C10(1,2) at level 4
+without a buffer level (the octagon: 0.25-0.3 s against 9-10 s), at the
+price of multiplying every pair of rows of a level that stays below R_4
+(the cube at level 4: 3.8-4.4 s against 2.1-2.6 s; BENCH_18.json).
+Closing level 5 as an algebra too gave the same dims on the cube and the
+two squares at about 100 times the cost (the cube: 267 s), so the words
+letters stay there.
 
 Each reported level is bounded on both sides. A run with a higher top
 level can only raise a dimension: every row the lower run accepts lies in
 the higher run's space, since the seeds do, the structural operations
 keep it, and so does every product the lower run takes (up to level
-_LETTER_ALL_MAX, and in "full" mode at every level, the space is an
-algebra; above it the "words" letters are the same fixed vectors in both
-runs). No dimension can exceed R_m, the number of orbits of the ordinary
-automorphism group Aut(X) on m-tuples: that is the width the engine works
-in, and it bounds the exact dimension too, because Aut(X) is a subgroup
-of the quantum automorphism group (its function algebra is a quotient),
-so every vector the quantum group fixes is fixed by Aut(X) as well. A
-level whose modular rank reaches R_m is therefore exact, and no buffer
-level can change it (Banica, Bichon and Chenevier, Graphs having no
-quantum symmetry, Ann. Inst. Fourier 57, 2007). closure() runs without a
-buffer first and carries the configured buffer only when some reported
-level falls short of its bound.
+_LETTER_ALL_MAX the space is an algebra; above it the "words" letters are
+the same fixed vectors in both runs). No dimension can exceed R_m, the
+number of orbits of the ordinary automorphism group Aut(X) on m-tuples:
+that is the width the engine works in, and it bounds the exact dimension
+too, because Aut(X) is a subgroup of the quantum automorphism group (its
+function algebra is a quotient), so every vector the quantum group fixes
+is fixed by Aut(X) as well. A level whose modular rank reaches R_m is
+therefore exact, and no buffer level can change it (Banica, Bichon and
+Chenevier, Graphs having no quantum symmetry, Ann. Inst. Fourier 57,
+2007). closure() runs without a buffer first and carries the configured
+buffer only when some reported level falls short of its bound.
 """
 from __future__ import annotations
 
@@ -137,7 +136,7 @@ _CHUNK = min(2**53 // (int(p) - 1) ** 2 for p in _PRIMES) - 1
 _BLOCK = 64  # queue items reduced together
 _REMAINDER_MAX = 800  # largest stack _mod reduces with one np.remainder call
 _ELEMENT_BUDGET = 1 << 20  # float64 elements in one letter-product temporary
-_LETTER_ALL_MAX = 3  # levels up to here treat every basis vector as a letter
+_LETTER_ALL_MAX = 4  # levels up to here treat every basis vector as a letter
 
 
 class ModularMismatchError(RuntimeError):
@@ -387,7 +386,6 @@ class ClosureConfig:
         reported level below its orbit count R_m; a level at R_m is
         exact, since more levels can only raise a dimension and none can
         exceed R_m (see the module docstring).
-    letter_mode: "words" (default) or "full", see the module docstring.
     size_limit: refuse levels with more than this many raw tuples. The
         limit applies to the highest level the call may need, max_level
         + buffer, even when the run stops below it.
@@ -395,7 +393,6 @@ class ClosureConfig:
 
     max_level: int
     buffer: int = 1
-    letter_mode: str = "words"
     size_limit: int = 2_000_000
 
 
@@ -421,12 +418,9 @@ class ClosureResult:
 class _Engine:
     """One saturation run over levels 0..top; aut is the group Aut(X)."""
 
-    def __init__(self, g: ColoredGraph, top: int, letter_mode: str, aut: PermutationGroup):
-        if letter_mode not in ("words", "full"):
-            raise ValueError(f"unknown letter mode {letter_mode!r}")
+    def __init__(self, g: ColoredGraph, top: int, aut: PermutationGroup):
         self.n = g.n
         self.top = top
-        self.letter_mode = letter_mode
         gens = [np.asarray(p, dtype=np.int64) for p in aut.generators]
         # A generator acts on the code a * n + b of level m as on a at
         # level m - 1 and on the vertex b.
@@ -438,11 +432,11 @@ class _Engine:
             self.levels.append(_Level(self.n, m, perms))
         self._build_op_tables()
         self.bases = [_ModBasis(lv.R) for lv in self.levels]
-        # letters[m][..., j] is letter j of level m as a (2, R, W) stack of
-        # the values its product reads; see _apply_letters.
+        # Above _LETTER_ALL_MAX, letters[m][..., j] is letter j of level m as
+        # a (2, R, W) stack of the values its product reads; see
+        # _apply_letters.
         self.letters: list[np.ndarray | None] = [None for _ in range(top + 1)]
         self.letter_counts = [0 for _ in range(top + 1)]
-        self.letter_seen: list[set[bytes]] = [set() for _ in range(top + 1)]
         self.mult_tables: list[tuple[np.ndarray, np.ndarray] | None] = [
             None for _ in range(top + 1)
         ]
@@ -563,9 +557,9 @@ class _Engine:
     # ("vec", v) an explicit vector; ("rot", i) and ("star", i) row i of this
     # level; ("incl", i) row i of the level below; ("expect", i) row i of the
     # level above; ("mul", i, j) and ("lmul", i, j) row i times letter j,
-    # queued for a new row i and for a new letter j respectively. The row is
-    # read when the item is materialised, which the module docstring shows
-    # is enough.
+    # queued for a new row i and, up to _LETTER_ALL_MAX, where the rows are
+    # the letters, for a new letter j. The row is read when the item is
+    # materialised, which the module docstring shows is enough.
 
     def _push(self, m: int, item: tuple) -> None:
         self.queues[m].append((next(self._stamp), item))
@@ -613,8 +607,8 @@ class _Engine:
                 row_ids = sorted({i for _, i, _ in prs})
                 letter_ids = sorted({j for _, _, j in prs})
                 if m <= _LETTER_ALL_MAX:
-                    # The letters are basis rows, gathered as _register_letter
-                    # stores them.
+                    # The letters are basis rows, gathered as _core_letters
+                    # stores the letters above.
                     letters = rows[:, letter_ids].transpose(0, 2, 1)[:, letter_table]
                     js = list(range(len(letter_ids)))
                 else:
@@ -628,7 +622,7 @@ class _Engine:
                 block[:, at] = out[:, :, ri, li].transpose(0, 2, 1)
         return block
 
-    def _accepted(self, m: int, idx: int, origin: str) -> None:
+    def _accepted(self, m: int, idx: int) -> None:
         """Queue the images and products of the new basis row idx."""
         self._push(m, ("rot", idx))
         self._push(m, ("star", idx))
@@ -645,29 +639,12 @@ class _Engine:
             self._push_all(m, zip(repeat("lmul"), range(idx + 1), repeat(idx)))
             return
         self._push_all(m, zip(repeat("mul"), repeat(idx), range(self.letter_counts[m])))
-        if self.letter_mode == "full" and origin != "mult":
-            self._register_letter(m, self.bases[m].rows[:, idx], idx + 1)
-
-    def _register_letter(self, m: int, vec: np.ndarray, nrows: int) -> None:
-        """Adopt vec as a letter and queue its products with rows 0..nrows-1."""
-        key = vec.tobytes()
-        if key in self.letter_seen[m]:
-            return
-        self.letter_seen[m].add(key)
-        letter = vec[:, self._mult_tables_for(m)[1]]
-        j, store = self.letter_counts[m], self.letters[m]
-        if store is None or j == store.shape[-1]:
-            store = np.empty(letter.shape + (max(4, 2 * j),))
-            if j:
-                store[..., :j] = self.letters[m][..., :j]
-            self.letters[m] = store
-        store[..., j] = letter
-        self.letter_counts[m] = j + 1
-        self._push_all(m, zip(repeat("lmul"), range(nrows), repeat(j)))
 
     def _core_letters(self, g: ColoredGraph) -> None:
         """Rotated strand-lifts of boxes and cup-caps, the "words" letters
-        of the levels above _LETTER_ALL_MAX."""
+        of the levels above _LETTER_ALL_MAX, each distinct vector stored
+        once, in the order first generated. They are built before any row
+        exists, so no product is queued for them here."""
         if self.top <= _LETTER_ALL_MAX:
             return
         lifted = self._seed_vecs(g)
@@ -676,18 +653,19 @@ class _Engine:
             lifted = [self._incl(m - 1, v) for v in lifted]
             if m <= _LETTER_ALL_MAX:
                 continue
-            batch = lifted + [self._jones_vec(m)]
-            for base in batch:
-                v = base
+            distinct: dict[bytes, np.ndarray] = {}
+            for v in lifted + [self._jones_vec(m)]:
                 for _ in range(m):
-                    self._register_letter(m, v, 0)
+                    distinct.setdefault(v.tobytes(), v)
                     v = self._rotate(m, v)
+            stack = np.stack(list(distinct.values()), axis=-1)
+            self.letters[m] = stack[:, self._mult_tables_for(m)[1]]
+            self.letter_counts[m] = len(distinct)
 
     # -- main loop -----------------------------------------------------------
 
     def run(self, g: ColoredGraph) -> None:
-        if self.letter_mode == "words":
-            self._core_letters(g)
+        self._core_letters(g)
         self._push(0, ("vec", self._unit_vec()))
         for m in range(2, self.top + 1):
             self._push(m, ("vec", self._jones_vec(m)))
@@ -705,9 +683,9 @@ class _Engine:
                 continue
             items = [queue.popleft()[1] for _ in range(min(_BLOCK, len(queue)))]
             rank = basis.rank
-            for t, pos in enumerate(basis.insert_block(self._materialise(m, items))):
-                origin = "mult" if items[pos][0] in ("mul", "lmul") else "op"
-                self._accepted(m, rank + t, origin)
+            basis.insert_block(self._materialise(m, items))
+            for idx in range(rank, basis.rank):
+                self._accepted(m, idx)
 
     def dims(self) -> list[int]:
         return [b.rank for b in self.bases]
@@ -744,7 +722,7 @@ def closure(g: ColoredGraph, config: ClosureConfig) -> ClosureResult:
     reported = slice(config.max_level + 1)
 
     def run(level: int) -> _Engine:
-        engine = _Engine(g, level, config.letter_mode, aut)
+        engine = _Engine(g, level, aut)
         engine.run(g)
         return engine
 

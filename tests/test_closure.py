@@ -38,10 +38,12 @@ from qsymgraph.graphs import (
     saturate,
 )
 from qsymgraph.scalars import GaussianRational
+from qsymgraph.series import CubeSeries
 from qsymgraph.symmetry import automorphism_group
 from reference_engine import SpinTensor, mult, reference_closure
 
 closure_module = importlib.import_module("qsymgraph.closure")
+GRAPHS_DIR = Path(__file__).resolve().parent.parent / "graphs"
 
 
 def dims_of(g, max_level, **kwargs):
@@ -81,6 +83,16 @@ def test_point_set_towers():
     assert dims_of(edgeless(2), 4) == [1, 1, 2, 4, 8]
 
 
+def test_cube_level_five_meets_its_closed_form():
+    # From level 5 on the letters are the lifted boxes and cup-caps, not
+    # the level's rows; the cube (672 against R_5 = 816) and the four
+    # points (Catalan 42 against 51) check them where they fall short.
+    g = parse_graph((GRAPHS_DIR / "cube.graph").read_text())
+    result = closure(g, ClosureConfig(max_level=5, buffer=0))
+    assert result.dims == CubeSeries().prefix(6)
+    assert result.orbit_counts[5] == 816
+
+
 @pytest.mark.parametrize(
     "g,level",
     [
@@ -117,7 +129,7 @@ def test_engine_top_level_matches_exact_reference(g, top):
     # so closure() never returns a buffered run on them. Run the engine
     # directly: its top level, the one a buffered run reads its buffer
     # from, must agree with the reference at every level.
-    engine = closure_module._Engine(g, top, "words", automorphism_group(g))
+    engine = closure_module._Engine(g, top, automorphism_group(g))
     engine.run(g)
     assert engine.dims() == reference_closure(g, top, buffer=0)
 
@@ -150,15 +162,6 @@ def test_mixed_colors_level_three(g, expected):
     assert dims_of(g, 3) == expected
 
 
-def test_letter_modes_agree():
-    for g in (n_gon(4), n_gon(5), oriented_n_gon(4)):
-        words = dims_of(g, 3, letter_mode="words")
-        full = dims_of(g, 3, letter_mode="full")
-        assert words == full
-
-
-GRAPHS_DIR = Path(__file__).resolve().parent.parent / "graphs"
-
 # The vertex-transitive graphs on at most six vertices, by file name.
 CENSUS_TO_SIX = (
     "point", "two-points", "segment", "three-points", "triangle", "edgeless-4",
@@ -169,21 +172,17 @@ CENSUS_TO_SIX = (
 
 
 def test_algebra_levels_take_their_rows_as_letters():
-    # Up to level 3 the letters are the basis rows themselves: no core
+    # Up to level 4 the letters are the basis rows themselves: no core
     # letter and no duplicate is counted (the hexagon once gave letter
-    # counts 1, 1, 5, 22 against dims 1, 1, 4, 20).
+    # counts 1, 1, 5, 22 against dims 1, 1, 4, 20, and 8 letters at level
+    # 4 against a rank of 112).
     for path in sorted(GRAPHS_DIR.glob("*.graph")):
         result = closure(parse_graph(path.read_text()), ClosureConfig(max_level=3))
         assert result.letter_counts[:4] == result.buffered_dims[:4], path.stem
-
-
-@pytest.mark.parametrize("name", CENSUS_TO_SIX)
-def test_letter_modes_agree_at_level_four(name):
-    # Above level 3 the two policies use different letters: "words" only
-    # the lifted boxes and cup-caps, "full" every row from a
-    # non-multiplicative operation.
-    g = parse_graph((GRAPHS_DIR / f"{name}.graph").read_text())
-    assert dims_of(g, 4, letter_mode="words") == dims_of(g, 4, letter_mode="full")
+    for name in CENSUS_TO_SIX:
+        result = closure(parse_graph((GRAPHS_DIR / f"{name}.graph").read_text()),
+                         ClosureConfig(max_level=4))
+        assert result.letter_counts[:5] == result.buffered_dims[:5], name
 
 
 def test_buffered_dims_extend_reported_dims():
@@ -208,27 +207,38 @@ def test_point_set_level_four_is_not_certified():
     assert len(result.buffered_dims) == 6
 
 
-def test_rook_graph_needs_the_buffer_level():
-    g = parse_graph((GRAPHS_DIR / "discrete-torus.graph").read_text())
-    assert dims_of(g, 4, buffer=0) == [1, 1, 3, 15, 101]
-    result = closure(g, ClosureConfig(max_level=4))
-    assert result.dims == [1, 1, 3, 15, 105]
-    assert result.exact == [True] * 5
-
-
-def test_certified_input_builds_one_engine_and_one_group(monkeypatch):
-    engines, groups = [], []
+@pytest.fixture
+def engine_tops(monkeypatch):
+    """The top level of every engine built, in order."""
+    tops = []
 
     class CountingEngine(closure_module._Engine):
         def __init__(self, g, top, *args):
-            engines.append(top)
+            tops.append(top)
             super().__init__(g, top, *args)
+
+    monkeypatch.setattr(closure_module, "_Engine", CountingEngine)
+    return tops
+
+
+def test_rook_graph_is_certified_at_level_four_by_one_engine(engine_tops):
+    # With the lifted boxes and cup-caps as its letters, level 4 of the
+    # rook's graph reached 101 without the buffer level and needed it for
+    # 105 = R_4. Closed as an algebra, it meets R_4 in the first run.
+    g = parse_graph((GRAPHS_DIR / "discrete-torus.graph").read_text())
+    result = closure(g, ClosureConfig(max_level=4))
+    assert result.dims == [1, 1, 3, 15, 105]
+    assert result.exact == [True] * 5
+    assert engine_tops == [4]
+
+
+def test_certified_input_builds_one_engine_and_one_group(monkeypatch, engine_tops):
+    engines, groups = engine_tops, []
 
     def counting_group(g):
         groups.append(g)
         return automorphism_group(g)
 
-    monkeypatch.setattr(closure_module, "_Engine", CountingEngine)
     monkeypatch.setattr(closure_module, "automorphism_group", counting_group)
     result = closure(n_gon(6), ClosureConfig(max_level=3, buffer=2))
     assert all(result.exact)
@@ -241,11 +251,11 @@ def test_certified_input_builds_one_engine_and_one_group(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    ("g", "level", "mode"),
-    [(n_gon(6), 4, "words"), (oriented_n_gon(5), 3, "words"), (n_gon(6), 3, "full")],
-    ids=["hexagon-4", "oriented5-3", "hexagon-3-full"],
+    ("g", "level"),
+    [(n_gon(6), 4), (oriented_n_gon(5), 3), (edgeless(4), 4)],
+    ids=["hexagon-4", "oriented5-3", "points-4"],
 )
-def test_each_block_takes_at_most_two_letter_products(monkeypatch, g, level, mode):
+def test_each_block_takes_at_most_two_letter_products(monkeypatch, g, level):
     # One cross product for the items queued for a new row, one for those
     # queued for a new letter.
     calls = []
@@ -262,7 +272,7 @@ def test_each_block_takes_at_most_two_letter_products(monkeypatch, g, level, mod
 
     monkeypatch.setattr(closure_module, "_apply_letters", counting_apply)
     monkeypatch.setattr(closure_module._Engine, "_materialise", counting_materialise)
-    closure(g, ClosureConfig(max_level=level, letter_mode=mode))
+    closure(g, ClosureConfig(max_level=level))
     assert 0 < max(calls) <= 2
 
 
@@ -725,7 +735,7 @@ def test_op_tables_match_the_digit_table_construction():
     top = 4
     for name, g in op_table_graphs():
         aut = automorphism_group(g)
-        engine = closure_module._Engine(g, top, "words", aut)
+        engine = closure_module._Engine(g, top, aut)
         gens = [np.asarray(p, dtype=np.int64) for p in aut.generators]
         ref = SimpleNamespace(
             n=g.n, top=top, levels=[DigitLevel(g.n, m, gens) for m in range(top + 1)],
@@ -758,7 +768,7 @@ def test_op_tables_match_the_digit_table_construction():
 def test_products_of_rows_match_spinplanar_mult(name):
     g = dict(op_table_graphs())[name]
     top = 3
-    engine = closure_module._Engine(g, top, "words", automorphism_group(g))
+    engine = closure_module._Engine(g, top, automorphism_group(g))
     rng = random.Random(name)
     for m in range(top + 1):
         lv = engine.levels[m]
@@ -829,12 +839,12 @@ def test_adaptive_buffer_matches_the_buffered_run_on_generated_graphs():
 
     @st.composite
     def colored_graphs(draw):
-        """n <= 5 vertices, 1-2 colors, each color edges or arcs; every
+        """n <= 6 vertices, 1-2 colors, each color edges or arcs; every
         pair gets at most one color. In half the draws every vertex gets
         one of two block labels and a pair's color depends on its labels
         only, so that large groups, and levels that fall short of their
         orbit counts, come up often."""
-        n = draw(st.integers(1, 5))
+        n = draw(st.integers(1, 6))
         oriented = draw(st.lists(st.booleans(), min_size=1, max_size=2))
         if draw(st.booleans()):
             block = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
@@ -857,25 +867,42 @@ def test_adaptive_buffer_matches_the_buffered_run_on_generated_graphs():
         )
         return ColoredGraph(n, comps)
 
-    # No level <= 3 of a graph on at most five vertices falls short of its
-    # orbit count, so level 4 is drawn too, and most often. A five-vertex
-    # graph with no symmetry takes 23 s at top level 5 (3125 orbits), so
-    # the level is lowered until n^top <= 500 |Aut(X)|. On inputs this
-    # small the buffer levels never change a dim, even where they are
-    # carried; test_rook_graph_needs_the_buffer_level is a case where
-    # they do.
+    # Levels up to 3 on these inputs rarely fall short of their orbit
+    # counts, so level 4 is drawn too, and most often. The level is
+    # lowered until n^top <= 500 |Aut(X)| (a five-vertex graph with no
+    # symmetry took 23 s at top level 5, 3125 orbits) and, when the top is
+    # 4 or more, n^4 <= 150 |Aut(X)|: level 4 is closed as an algebra, at a
+    # cost that grows as the cube of its orbit count (a six-vertex graph
+    # with |Aut(X)| = 4 took 30 s at top level 4, 456 orbits, rank 454).
+    # The buffer levels must not change a dim: buffer 0 gives the buffered
+    # engine's dims. The rook's graph at level 4 once needed its buffer
+    # level, when only the lifted boxes and cup-caps were level 4's letters
+    # (test_rook_graph_is_certified_at_level_four_by_one_engine). The
+    # examples are six-vertex graphs that reach level 4 at buffer 1: K33
+    # with one side's triangle in a second color (|Aut| = 36), and K33 with
+    # each side an oriented triangle (|Aut| = 18).
+    k33 = [f"edge a {i} {j}" for i in range(3) for j in range(3, 6)]
+    triangle = ["edge b 0 1", "edge b 1 2", "edge b 0 2"]
+    arcs = [f"arc b {t + i} {t + (i + 1) % 3}" for t in (0, 3) for i in range(3)]
+
     @hypothesis.settings(max_examples=60, deadline=None, database=None)
     @hypothesis.given(
         colored_graphs(), st.integers(0, 4).map(lambda k: 4 - k), st.integers(1, 2)
     )
+    @hypothesis.example(graph_from_lines(6, k33 + triangle), 4, 1)
+    @hypothesis.example(graph_from_lines(6, k33 + arcs), 4, 1)
     def check(g, level, buffer):
         aut = automorphism_group(g)
-        while level and g.n ** (level + buffer) > 500 * aut.order:
+        while level and (
+            g.n ** (level + buffer) > 500 * aut.order
+            or level + buffer >= 4 and g.n**4 > 150 * aut.order
+        ):
             level -= 1
         result = closure(g, ClosureConfig(max_level=level, buffer=buffer))
-        engine = closure_module._Engine(g, max(2, level + buffer), "words", aut)
+        engine = closure_module._Engine(g, max(2, level + buffer), aut)
         engine.run(g)
         assert result.dims == engine.dims()[: level + 1]
+        assert dims_of(g, level, buffer=0) == result.dims
         assert len(result.exact) == level + 1
         for m, exact in enumerate(result.exact):
             assert exact == (result.dims[m] == result.orbit_counts[m])
