@@ -16,7 +16,13 @@ Corpora:
   `random.Random(5)` (dims 1, 8, 64, 512 and 1, 10, 100, 1000, every level
   exact). Each level has n^m orbits, so the engine multiplies many rows
   and letters, and a block can mix the products of a new row with those
-  of a new letter.
+  of a new letter;
+- small-groups: `closure` at level 4 (buffer 1), as `analyze` runs it by
+  default, of four graphs with |Aut(X)| = 2, so with several vertex
+  orbits, whose level 4 takes the lifted boxes and cup-caps as letters:
+  edges drawn as above from `random.Random(seed)`, seeds 1, 2 and 3 on 6
+  vertices and seed 1 on 7 (648, 648, 776 and 1513 orbits at level 4,
+  every level exact).
 
 The package's lru caches are cleared before every call, so that each
 call starts as cold as a fresh `qsymgraph` command. Per corpus the script
@@ -61,7 +67,8 @@ SKIPPED = frozenset(
 LEVEL4 = ("cube", "two-squares", "octagon")
 LEVEL5 = ("cube", "two-squares")
 RANDOM = (8, 10)
-CORPORA = ["analyze", "closure", "level4", "level5", "rook", "random"]
+SMALL_GROUPS = ((6, 1), (6, 2), (6, 3), (7, 1))
+CORPORA = ["analyze", "closure", "level4", "level5", "rook", "random", "small-groups"]
 
 
 def clear_caches() -> None:
@@ -114,8 +121,8 @@ def corpora(names: list[str]) -> dict:
         c = classify(x, ClosureConfig(max_level=3), no_closure=True)
         return json.dumps([c.kind, list(c.trail), [f.describe() for f in c.factors]])
 
-    def random_graph(n: int):
-        rng = random.Random(5)
+    def random_graph(n: int, seed: int = 5):
+        rng = random.Random(seed)
         pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
         edges = [f"edge e {a} {b}" for a, b in pairs if rng.random() < 0.4]
         return parse_graph(f"vertices {n}\n" + "\n".join(edges) + "\n")
@@ -128,6 +135,7 @@ def corpora(names: list[str]) -> dict:
         "level5": [dims(graph(name), 5, buffer=0) for name in LEVEL5],
         "rook": [rook],
         "random": [dims(random_graph(n), 3) for n in RANDOM],
+        "small-groups": [dims(random_graph(n, seed), 4) for n, seed in SMALL_GROUPS],
     }
     return {name: out[name] for name in names}
 

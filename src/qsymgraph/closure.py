@@ -63,16 +63,16 @@ level-3 candidates against 854 and runs about 30 times longer.
 The processing order cannot change the dimensions. The space computed at
 each level is the smallest family of subspaces that contains the seeds
 and is closed under the structural operations and under multiplication:
-up to level _LETTER_ALL_MAX by the level's own space, above it by the
-span of the letters. Every accepted row queues its images under every
-operation and its products: up to _LETTER_ALL_MAX with every row of
-index at most its own, on either side, and above it with every letter.
-A queued item is taken of the rows' values when it is processed, each of
-which differs from its value when accepted only by multiples of rows
-accepted later, whose images and products are queued as well; so once
-the queues run dry the span of each basis is closed, whatever the order.
-The letters above _LETTER_ALL_MAX are fixed vectors, so their span does
-not depend on the order either.
+on the levels closed as algebras (below) by the level's own space, above
+them by the span of the letters. Every accepted row queues its images
+under every operation and its products: on an algebra level with every
+row of index at most its own, on either side, and above with every
+letter. A queued item is taken of the rows' values when it is processed,
+each of which differs from its value when accepted only by multiples of
+rows accepted later, whose images and products are queued as well; so
+once the queues run dry the span of each basis is closed, whatever the
+order. The letters above the algebra levels are fixed vectors, so their
+span does not depend on the order either.
 
 Every color is seeded by its real 0/1 arc matrix A, symmetric for an
 edge color and one-way for an oriented one: a magic unitary commutes
@@ -83,28 +83,32 @@ spaces. A^T needs no seed of its own, because it is the star of A at
 level 2 and the star of every basis vector is queued.
 
 Multiplicative saturation multiplies basis vectors on the right by a
-letter set. Up to level _LETTER_ALL_MAX (4) the letters are the level's
-basis rows, read when a product is taken: each of these levels is closed
-as an algebra, as every level of the planar algebra is. From level 5 on
-the letters are the "words" letters: rotated strand-lifts of the graph
-boxes and the cup-cap elements, counting on words in these letters to
-fill the level. They are generated, so they lie in the level's space;
-they would add nothing to a level closed as an algebra, and both letter
-sets have the same least fixed point. Closing level 4 as an algebra
-certifies the octagon and the ten-vertex circulant C10(1,2) at level 4
-without a buffer level (the octagon: 0.25-0.3 s against 9-10 s), at the
-price of multiplying every pair of rows of a level that stays below R_4
-(the cube at level 4: 3.8-4.4 s against 2.1-2.6 s; BENCH_18.json).
-Closing level 5 as an algebra too gave the same dims on the cube and the
-two squares at about 100 times the cost (the cube: 267 s), so the words
-letters stay there.
+letter set. Up to level 3, and on a vertex-transitive graph (R_1 = 1) up
+to level _LETTER_ALL_MAX (4), the letters are the level's basis rows,
+read when a product is taken: each of these levels is closed as an
+algebra, as every level of the planar algebra is. Above them the letters
+are the "words" letters: rotated strand-lifts of the graph boxes and the
+cup-cap elements, counting on words in these letters to fill the level.
+They are generated, so they lie in the level's space; they would add
+nothing to a level closed as an algebra, and both letter sets have the
+same least fixed point. An algebra level below R_m multiplies every pair
+of its rows, about R_m^2 products. On a vertex-transitive graph level 4
+has at most n^3 orbits (each meets the tuples that start at vertex 0);
+closing it certifies the octagon and C10(1,2) at level 4 without a
+buffer level (the octagon: 0.08-0.10 s against 7.4-8.6 s), and the cube,
+below R_4, takes 1.5-1.7 s against 1.7-2.1 s (BENCH_18.json). With
+several vertex orbits level 4 has up to n^4: a six-vertex graph with
+|Aut(X)| = 4 has 456, rank 454, and closing it as an algebra made its
+default closure 33 s against 17 s. Level 5 closed as an algebra gave the
+same dims on the cube and the two squares at about 100 times the cost
+(the cube: 267 s).
 
 Each reported level is bounded on both sides. A run with a higher top
 level can only raise a dimension: every row the lower run accepts lies in
 the higher run's space, since the seeds do, the structural operations
-keep it, and so does every product the lower run takes (up to level
-_LETTER_ALL_MAX the space is an algebra; above it the "words" letters are
-the same fixed vectors in both runs). No dimension can exceed R_m, the
+keep it, and so does every product the lower run takes (both runs close
+the same levels as algebras, and above them the "words" letters are the
+same fixed vectors in both runs). No dimension can exceed R_m, the
 number of orbits of the ordinary automorphism group Aut(X) on m-tuples:
 that is the width the engine works in, and it bounds the exact dimension
 too, because Aut(X) is a subgroup of the quantum automorphism group (its
@@ -119,7 +123,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import count, repeat
+from itertools import count
 
 import numpy as np
 
@@ -136,7 +140,7 @@ _CHUNK = min(2**53 // (int(p) - 1) ** 2 for p in _PRIMES) - 1
 _BLOCK = 64  # queue items reduced together
 _REMAINDER_MAX = 800  # largest stack _mod reduces with one np.remainder call
 _ELEMENT_BUDGET = 1 << 20  # float64 elements in one letter-product temporary
-_LETTER_ALL_MAX = 4  # levels up to here treat every basis vector as a letter
+_LETTER_ALL_MAX = 4  # levels up to here are algebras on a vertex-transitive graph
 
 
 class ModularMismatchError(RuntimeError):
@@ -268,13 +272,12 @@ class _ModBasis:
     def saturated(self) -> bool:
         return self.rank >= self.width
 
-    def insert_block(self, block: np.ndarray) -> list[int]:
+    def insert_block(self, block: np.ndarray) -> None:
         """Reduce a block (2, k, width) of residues against the basis and
         adjoin its independent rows.
 
-        Rows are taken in block order; the result lists the block indices
-        of the rows adjoined, which become basis rows rank, rank + 1, ...
-        A reduced row vanishes in every pivot column, so the elimination
+        Rows are taken in block order and become basis rows rank, rank + 1,
+        ... A reduced row vanishes in every pivot column, so the elimination
         works on the free columns only. Each surviving row is reduced when
         it is examined; both primes' leads come from one nonzero mask, and
         a row with a lead is scaled to 1 there by the two modular inverses
@@ -283,7 +286,7 @@ class _ModBasis:
         magnitude, so the block is reduced after every _CHUNK adjoined rows.
         """
         if self.saturated:
-            return []
+            return
         r = self.rank
         free = np.flatnonzero(~self.pivotal)
         cand = block[:, :, free]
@@ -324,7 +327,7 @@ class _ModBasis:
             if len(accepted) % _CHUNK == 0:
                 _mod(cand)
         if not accepted:
-            return []
+            return
         new = _mod(cand[:, accepted])
         if r:
             old = self.rows[:, :r, free]
@@ -333,42 +336,38 @@ class _ModBasis:
         self.pivcols = np.concatenate([self.pivcols, free[leads]])
         self.pivotal[free[leads]] = True
         self.rank = r + len(accepted)
-        return live[accepted].tolist()
 
 
-def _apply_letters(
-    rows: np.ndarray, table: np.ndarray, letters: np.ndarray, js: list[int]
-) -> np.ndarray:
-    """Right products of every row in a stack rows (2, s, R) with the
-    letters js of a stack letters (2, R, W, *), as an array (2, R, s, len(js)).
+def _apply_letters(rows: np.ndarray, letters: np.ndarray, tables: tuple) -> np.ndarray:
+    """Right products of every row in a stack rows (2, s, R) with every
+    letter in a stack letters (2, R, ell), as an array (2, s, ell, R).
 
-    With table the level's (R, W) product table, the product of row v and
-    letter j at column x is the sum over w of v[table[x, w]] *
-    letters[:, x, w, j]: one small matrix product per x. Columns x, rows
-    and terms w are taken in slices, so that no temporary holds more than
-    about _ELEMENT_BUDGET elements and no sum has more than _CHUNK terms.
+    With table, letter_table and runs the level's product tables
+    (_Engine._mult_tables_for), the product of row v and letter u at column
+    x is the sum over w of v[table[x, w]] * u[letter_table[x, w]]. A run
+    (a, b) of columns has one row of table, so its products are one matrix
+    product per prime. Terms w are taken _CHUNK at a time, and columns in
+    slices that keep the gathered letters and products to about
+    _ELEMENT_BUDGET elements. The rows are gathered once per run, the
+    letters once per column, so the caller passes the larger stack as rows.
     """
-    size, width = table.shape
-    s, ell = rows.shape[1], len(js)
-    if js == list(range(js[0], js[0] + ell)):
-        js = slice(js[0], js[0] + ell)
-    # Per slice: letters 2*xc*wc*ell, gathered rows 2*xc*wc*sc and
-    # products 2*xc*sc*ell elements.
+    table, letter_table, runs = tables
+    s, size, ell = rows.shape[1], letters.shape[1], letters.shape[2]
+    width = table.shape[1]
     wc = min(width, _CHUNK)
-    xc = max(1, min(size, _ELEMENT_BUDGET // (4 * wc * ell)))
-    sc = max(1, min(s, _ELEMENT_BUDGET // (4 * xc * (wc + ell))))
-    cols = rows.transpose(0, 2, 1)
-    out = np.zeros((2, size, s, ell))
-    for x0 in range(0, size, xc):
-        for s0 in range(0, s, sc):
-            acc = out[:, x0 : x0 + xc, s0 : s0 + sc]
-            for w0 in range(0, width, wc):
-                gathered = cols[:, table[x0 : x0 + xc, w0 : w0 + wc], s0 : s0 + sc]
-                acc += gathered.transpose(0, 1, 3, 2) @ letters[
-                    :, x0 : x0 + xc, w0 : w0 + wc, js
-                ]
-                _mod(acc)
-    return out
+    cc = max(1, _ELEMENT_BUDGET // (2 * ell * (wc + s)))
+    out = np.zeros((2, s, size, ell))
+    for w0 in range(0, width, wc):
+        for a, b in runs:
+            factor = rows[:, :, table[a, w0 : w0 + wc]]
+            for c0 in range(a, b, cc):
+                c1 = min(b, c0 + cc)
+                # np.take keeps its result contiguous, so the reshape is a view.
+                gathered = np.take(letters, letter_table[c0:c1, w0 : w0 + wc].T, axis=1)
+                product = factor @ gathered.reshape(2, -1, (c1 - c0) * ell)
+                out[:, :, c0:c1] += product.reshape(2, s, c1 - c0, ell)
+        _mod(out)
+    return out.transpose(0, 1, 3, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +400,9 @@ class ClosureResult:
     """dims and exact cover the reported levels 0..max_level; exact[m] says
     that dims[m] equals orbit_counts[m], its upper bound. buffered_dims,
     orbit_counts and letter_counts cover every level the final run
-    carried. letter_counts[m] is the rank of level m up to _LETTER_ALL_MAX,
-    whose rows are its letters, and its count of distinct letters above."""
+    carried. letter_counts[m] is the rank of level m on the levels closed
+    as algebras, whose rows are its letters, and its count of distinct
+    letters above."""
 
     dims: list[int]
     buffered_dims: list[int]
@@ -431,15 +431,14 @@ class _Engine:
                 perms = [np.add.outer(q * self.n, g).ravel() for q, g in zip(perms, gens)]
             self.levels.append(_Level(self.n, m, perms))
         self._build_op_tables()
+        # Level _LETTER_ALL_MAX is an algebra with one vertex orbit only.
+        transitive = self.levels[min(top, 1)].R == 1
+        self.algebra_top = _LETTER_ALL_MAX if transitive else _LETTER_ALL_MAX - 1
         self.bases = [_ModBasis(lv.R) for lv in self.levels]
-        # Above _LETTER_ALL_MAX, letters[m][..., j] is letter j of level m as
-        # a (2, R, W) stack of the values its product reads; see
-        # _apply_letters.
+        # Above algebra_top, letters[m][:, j] is letter j of level m.
         self.letters: list[np.ndarray | None] = [None for _ in range(top + 1)]
         self.letter_counts = [0 for _ in range(top + 1)]
-        self.mult_tables: list[tuple[np.ndarray, np.ndarray] | None] = [
-            None for _ in range(top + 1)
-        ]
+        self.mult_tables: list[tuple | None] = [None for _ in range(top + 1)]
         self.queues: list[deque] = [deque() for _ in range(top + 1)]
         self._stamp = count()
 
@@ -477,7 +476,10 @@ class _Engine:
             self.expect_map.append((self.levels[m + 1].orbit_dense[src], m % 2 == 0))
         self.expect_map.append(None)
 
-    def _mult_tables_for(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+    def _mult_tables_for(self, m: int) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
+        """The product tables of level m and their runs (_apply_letters):
+        a column's row of the first table depends on its leading m - m // 2
+        digits alone, so the ascending columns that share them form a run."""
         cached = self.mult_tables[m]
         if cached is not None:
             return cached
@@ -490,7 +492,8 @@ class _Engine:
         b_code = _reversed_codes(wcodes, n, f)[None, :] * (n ** (m - f)) + tail[:, None]
         if m % 2 == 1:
             b_code = b_code + (head % n)[:, None] * (n**f)
-        tables = (lv.orbit_dense[a_code], lv.orbit_dense[b_code])
+        bounds = [0, *(np.flatnonzero(np.diff(head)) + 1).tolist(), lv.R]
+        tables = (lv.orbit_dense[a_code], lv.orbit_dense[b_code], list(zip(bounds, bounds[1:])))
         self.mult_tables[m] = tables
         return tables
 
@@ -557,16 +560,13 @@ class _Engine:
     # ("vec", v) an explicit vector; ("rot", i) and ("star", i) row i of this
     # level; ("incl", i) row i of the level below; ("expect", i) row i of the
     # level above; ("mul", i, j) and ("lmul", i, j) row i times letter j,
-    # queued for a new row i and, up to _LETTER_ALL_MAX, where the rows are
-    # the letters, for a new letter j. The row is read when the item is
+    # taken for a new row i and, on the algebra levels, where the rows are
+    # the letters, for a new letter j, from the one ("products", i, 0) item
+    # a new row queues (_take). The row is read when the item is
     # materialised, which the module docstring shows is enough.
 
     def _push(self, m: int, item: tuple) -> None:
         self.queues[m].append((next(self._stamp), item))
-
-    def _push_all(self, m: int, items) -> None:
-        # zip draws one stamp past the last item; stamps only order the heads.
-        self.queues[m].extend(zip(self._stamp, items))
 
     def _materialise(self, m: int, items: list[tuple]) -> np.ndarray:
         """The candidate vectors of the items, one gather per kind.
@@ -576,8 +576,8 @@ class _Engine:
         factors with every factor of the other side that came before them,
         so its cross product is nearly all used, and a block takes at most
         two _apply_letters calls. A cross product over both kinds at once
-        would pair every row with every letter of the block and, at levels
-        up to _LETTER_ALL_MAX, go mostly unused.
+        would pair every row with every letter of the block and, on the
+        algebra levels, go mostly unused.
         """
         block = np.empty((2, len(items), self.levels[m].R))
         images: dict[str, tuple[list[int], list[int]]] = {}
@@ -601,25 +601,25 @@ class _Engine:
             src, op = ops[kind]
             block[:, at] = op(src, self.bases[src].rows[:, idx])
         if products:
-            table, letter_table = self._mult_tables_for(m)
+            tables = self._mult_tables_for(m)
             rows = self.bases[m].rows
+            # Up to algebra_top the letters are the basis rows.
+            source = rows if m <= self.algebra_top else self.letters[m]
             for prs in products.values():
                 row_ids = sorted({i for _, i, _ in prs})
                 letter_ids = sorted({j for _, _, j in prs})
-                if m <= _LETTER_ALL_MAX:
-                    # The letters are basis rows, gathered as _core_letters
-                    # stores the letters above.
-                    letters = rows[:, letter_ids].transpose(0, 2, 1)[:, letter_table]
-                    js = list(range(len(letter_ids)))
-                else:
-                    letters, js = self.letters[m], letter_ids
-                out = _apply_letters(rows[:, row_ids], table, letters, js)
-                row_at = {i: k for k, i in enumerate(row_ids)}
-                letter_at = {j: k for k, j in enumerate(letter_ids)}
-                at = [pos for pos, _, _ in prs]
-                ri = [row_at[i] for _, i, _ in prs]
-                li = [letter_at[j] for _, _, j in prs]
-                block[:, at] = out[:, :, ri, li].transpose(0, 2, 1)
+                left, right = rows[:, row_ids], source[:, letter_ids]
+                # More letters than rows: (v u)* = u* v* puts the many
+                # factors on the cheap side of _apply_letters.
+                starred = len(letter_ids) > len(row_ids)
+                if starred:
+                    left, right = self._star(m, right), self._star(m, left)
+                out = _apply_letters(left, np.ascontiguousarray(right.transpose(0, 2, 1)), tables)
+                if starred:
+                    out = self._star(m, out).transpose(0, 2, 1, 3)
+                at, ri, li = zip(*prs)
+                ri, li = np.searchsorted(row_ids, ri), np.searchsorted(letter_ids, li)
+                block[:, list(at)] = out[:, ri, li]
         return block
 
     def _accepted(self, m: int, idx: int) -> None:
@@ -630,36 +630,55 @@ class _Engine:
             self._push(m + 1, ("incl", idx))
         if m > 0:
             self._push(m - 1, ("expect", idx))
-        if m <= _LETTER_ALL_MAX:
-            # The rows are the letters: queue every product pair whose
-            # larger index is idx: idx as a new row times the letters before
-            # it, and the rows up to idx times idx as a new letter.
+        if m <= self.algebra_top:
             self.letter_counts[m] = idx + 1
-            self._push_all(m, zip(repeat("mul"), repeat(idx), range(idx)))
-            self._push_all(m, zip(repeat("lmul"), range(idx + 1), repeat(idx)))
-            return
-        self._push_all(m, zip(repeat("mul"), repeat(idx), range(self.letter_counts[m])))
+        self._push(m, ("products", idx, 0))
+
+    def _take(self, m: int) -> list[tuple]:
+        """Up to _BLOCK items from the front of level m's queue.
+
+        ("products", i, k) stands for the products of row i from the k-th
+        on: on an algebra level i times the rows before it, then the rows up
+        to i times i; above, i times every letter. It is expanded as far as
+        the block has room, the rest going back with its stamp, which gives
+        the order of queueing them one by one; a saturated level never
+        expands the rest."""
+        queue = self.queues[m]
+        algebra = m <= self.algebra_top
+        items: list[tuple] = []
+        while queue and len(items) < _BLOCK:
+            stamp, item = queue.popleft()
+            if item[0] != "products":
+                items.append(item)
+                continue
+            _, i, k = item
+            total = 2 * i + 1 if algebra else self.letter_counts[m]
+            end = min(total, k + _BLOCK - len(items))
+            for t in range(k, end):
+                items.append(("mul", i, t) if t < i or not algebra else ("lmul", t - i, i))
+            if end < total:
+                queue.appendleft((stamp, ("products", i, end)))
+        return items
 
     def _core_letters(self, g: ColoredGraph) -> None:
         """Rotated strand-lifts of boxes and cup-caps, the "words" letters
-        of the levels above _LETTER_ALL_MAX, each distinct vector stored
+        of the levels above algebra_top, each distinct vector stored
         once, in the order first generated. They are built before any row
         exists, so no product is queued for them here."""
-        if self.top <= _LETTER_ALL_MAX:
+        if self.top <= self.algebra_top:
             return
         lifted = self._seed_vecs(g)
         lifted = lifted + [self._star(2, v) for v in lifted]
         for m in range(3, self.top + 1):
             lifted = [self._incl(m - 1, v) for v in lifted]
-            if m <= _LETTER_ALL_MAX:
+            if m <= self.algebra_top:
                 continue
             distinct: dict[bytes, np.ndarray] = {}
             for v in lifted + [self._jones_vec(m)]:
                 for _ in range(m):
                     distinct.setdefault(v.tobytes(), v)
                     v = self._rotate(m, v)
-            stack = np.stack(list(distinct.values()), axis=-1)
-            self.letters[m] = stack[:, self._mult_tables_for(m)[1]]
+            self.letters[m] = np.stack(list(distinct.values()), axis=1)
             self.letter_counts[m] = len(distinct)
 
     # -- main loop -----------------------------------------------------------
@@ -681,7 +700,7 @@ class _Engine:
             if basis.saturated:
                 queue.clear()
                 continue
-            items = [queue.popleft()[1] for _ in range(min(_BLOCK, len(queue)))]
+            items = self._take(m)
             rank = basis.rank
             basis.insert_block(self._materialise(m, items))
             for idx in range(rank, basis.rank):
