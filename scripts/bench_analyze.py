@@ -4,22 +4,22 @@ Corpora:
 - analyze: in-process `analyze FILE --json --max-level 3` on the 38 files
   of `graphs/` that the benchmark's `closure` workload analyzes (every
   file but the seven in SKIPPED), as `qsymgraph.cli.main` calls;
-- closure: `closure` alone at level 3 (buffer 1) on the same files;
-- level4: `closure` at level 4 (buffer 1) on the cube, the two squares and
-  the octagon;
-- level5: `closure` at level 5 without the buffer on the cube and the two
-  squares, whose level 5 has 816 and 616 orbits;
+- closure: `closure` alone at level 3 on the same files;
+- level4: `closure` at level 4 on the cube, the two squares and the
+  octagon;
+- level5: `closure` at level 5 on the cube and the two squares, whose
+  level 5 has 816 and 616 orbits;
 - rook: `classify` of K2 x (3 x 3 rook's graph), 18 vertices, at level 3
   without closures;
-- random: `closure` at level 3 (buffer 1) of two graphs with a trivial
-  group, on 8 and 10 vertices, each edge drawn with probability 0.4 from
+- random: `closure` at level 3 of two graphs with a trivial group, on 8
+  and 10 vertices, each edge drawn with probability 0.4 from
   `random.Random(5)` (dims 1, 8, 64, 512 and 1, 10, 100, 1000, every level
   exact). Each level has n^m orbits, so the engine multiplies many rows
   and letters, and a block can mix the products of a new row with those
   of a new letter;
-- small-groups: `closure` at level 4 (buffer 1), as `analyze` runs it by
-  default, of four graphs with |Aut(X)| = 2, so with several vertex
-  orbits, whose level 4 takes the lifted boxes and cup-caps as letters:
+- small-groups: `closure` at level 4, as `analyze` runs it by default,
+  of four graphs with |Aut(X)| = 2, so with several vertex orbits, whose
+  level 4 takes the lifted boxes and cup-caps as letters:
   edges drawn as above from `random.Random(seed)`, seeds 1, 2 and 3 on 6
   vertices and seed 1 on 7 (648, 648, 776 and 1513 orbits at level 4,
   every level exact).
@@ -100,8 +100,8 @@ def corpora(names: list[str]) -> dict:
 
         return call
 
-    def dims(g, level: int, buffer: int = 1):
-        cfg = ClosureConfig(max_level=level, buffer=buffer)
+    def dims(g, level: int):
+        cfg = ClosureConfig(max_level=level)
 
         def call() -> str:
             r = closure(g, cfg)
@@ -132,7 +132,7 @@ def corpora(names: list[str]) -> dict:
         "analyze": [analyze(p) for p in files],
         "closure": [dims(parse_graph(p.read_text()), 3) for p in files],
         "level4": [dims(graph(name), 4) for name in LEVEL4],
-        "level5": [dims(graph(name), 5, buffer=0) for name in LEVEL5],
+        "level5": [dims(graph(name), 5) for name in LEVEL5],
         "rook": [rook],
         "random": [dims(random_graph(n), 3) for n in RANDOM],
         "small-groups": [dims(random_graph(n, seed), 4) for n, seed in SMALL_GROUPS],

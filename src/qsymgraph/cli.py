@@ -91,10 +91,9 @@ def _graph_dict(g: ColoredGraph) -> dict:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    for flag, value in (("--max-level", args.max_level), ("--buffer", args.buffer)):
-        if value < 0:
-            print(f"error: {flag} must be >= 0", file=sys.stderr)
-            return 2
+    if args.max_level < 0:
+        print("error: --max-level must be >= 0", file=sys.stderr)
+        return 2
     try:
         text = Path(args.file).read_text()
     except OSError as exc:
@@ -106,7 +105,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"{args.file}: {exc}", file=sys.stderr)
         return 2
 
-    cfg = ClosureConfig(max_level=args.max_level, buffer=args.buffer)
+    cfg = ClosureConfig(max_level=args.max_level)
     warnings: list[str] = []
     timings: list[tuple[str, float]] = []
 
@@ -388,7 +387,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="classify a graph file and compute dims")
     p.add_argument("file", help="graph file (vertices/edge/arc/value directives)")
     p.add_argument("--max-level", type=int, default=4, metavar="M")
-    p.add_argument("--buffer", type=int, default=1, metavar="D")
     p.add_argument("--no-closure", action="store_true",
                    help="skip the standalone dimension computation")
     p.add_argument("--json", action="store_true")

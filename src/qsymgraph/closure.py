@@ -40,9 +40,10 @@ rows actually adjoined become resident, and a level that stops short of R
 rows never pays for the rest. Growing the rows by doubling copies would
 keep the old and the new array alive together: the octagon at level 4,
 run through level 5 (2,056 orbits), peaked at 241 MiB that way against
-179 MiB. Because the rows are allocated up front, an allocation the
-system refuses fails when the engine is built, before any work is done.
-Below glibc's mmap threshold a calloc block may come from the heap and be
+179 MiB. Because the rows are allocated up front, the engine predicts
+their bytes, 16 R_m^2 per level, from its orbit counts before it builds any
+basis, and refuses with ResourceCapError above _BASIS_BUDGET. Below
+glibc's mmap threshold a calloc block may come from the heap and be
 zero-filled in full; on the measured inputs that raised no peak.
 
 Candidates are reduced a block at a time, in the manner of the blocked
@@ -94,14 +95,13 @@ nothing to a level closed as an algebra, and both letter sets have the
 same least fixed point. An algebra level below R_m multiplies every pair
 of its rows, about R_m^2 products. On a vertex-transitive graph level 4
 has at most n^3 orbits (each meets the tuples that start at vertex 0);
-closing it certifies the octagon and C10(1,2) at level 4 without a
-buffer level (the octagon: 0.08-0.10 s against 7.4-8.6 s), and the cube,
-below R_4, takes 1.5-1.7 s against 1.7-2.1 s (BENCH_18.json). With
-several vertex orbits level 4 has up to n^4: a six-vertex graph with
-|Aut(X)| = 4 has 456, rank 454, and closing it as an algebra made its
-default closure 33 s against 17 s. Level 5 closed as an algebra gave the
-same dims on the cube and the two squares at about 100 times the cost
-(the cube: 267 s).
+closing it certifies the octagon and C10(1,2) at level 4 (the octagon:
+0.08-0.10 s, against 7.4-8.6 s with the "words" letters and a run to
+level 5; BENCH_18.json). With several vertex orbits level 4 has up to
+n^4: a six-vertex graph with |Aut(X)| = 4 has 456, rank 454, and closing
+it as an algebra doubled the time of its closure through level 5 (33 s
+against 17 s). Level 5 closed as an algebra gave the same dims on the
+cube and the two squares at about 100 times the cost (the cube: 267 s).
 
 Each reported level is bounded on both sides. A run with a higher top
 level can only raise a dimension: every row the lower run accepts lies in
@@ -114,10 +114,14 @@ that is the width the engine works in, and it bounds the exact dimension
 too, because Aut(X) is a subgroup of the quantum automorphism group (its
 function algebra is a quotient), so every vector the quantum group fixes
 is fixed by Aut(X) as well. A level whose modular rank reaches R_m is
-therefore exact, and no buffer level can change it (Banica, Bichon and
+therefore exact, and no higher run can change it (Banica, Bichon and
 Chenevier, Graphs having no quantum symmetry, Ann. Inst. Fourier 57,
-2007). closure() runs without a buffer first and carries the configured
-buffer only when some reported level falls short of its bound.
+2007). A level below R_m is a certified lower bound only. closure() makes
+one run, with top level max(2, max_level): a run one level higher raised
+no dimension below R_m on any input measured (the graphs/ files, the
+census to eleven vertices, and 900 random colored graphs on 3-7 vertices,
+221 of them below R_m), and the tests compare closure() with a run one or
+two levels higher on generated graphs.
 """
 from __future__ import annotations
 
@@ -141,6 +145,7 @@ _BLOCK = 64  # queue items reduced together
 _REMAINDER_MAX = 800  # largest stack _mod reduces with one np.remainder call
 _ELEMENT_BUDGET = 1 << 20  # float64 elements in one letter-product temporary
 _LETTER_ALL_MAX = 4  # levels up to here are algebras on a vertex-transitive graph
+_BASIS_BUDGET = 2 << 30  # bytes of basis rows one engine may allocate
 
 
 class ModularMismatchError(RuntimeError):
@@ -148,7 +153,8 @@ class ModularMismatchError(RuntimeError):
 
 
 class ResourceCapError(ValueError):
-    """A configured size cap refused the computation before it started."""
+    """A size cap or the basis budget refused the computation before it
+    started."""
 
 
 def _reversed_codes(codes: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -378,20 +384,14 @@ def _apply_letters(rows: np.ndarray, letters: np.ndarray, tables: tuple) -> np.n
 class ClosureConfig:
     """Knobs for the saturation run.
 
-    max_level: highest level whose dimension is reported.
-    buffer: extra levels carried above max_level so that round trips
-        through them can feed back down before dimensions are read off.
-        They are carried only when a run without them leaves some
-        reported level below its orbit count R_m; a level at R_m is
-        exact, since more levels can only raise a dimension and none can
-        exceed R_m (see the module docstring).
-    size_limit: refuse levels with more than this many raw tuples. The
-        limit applies to the highest level the call may need, max_level
-        + buffer, even when the run stops below it.
+    max_level: highest level whose dimension is reported. The run carries
+        levels 0..max(2, max_level).
+    size_limit: refuse a run whose top level has more than this many raw
+        tuples; it bounds the orbit arrays. The bases are bounded apart
+        from it, by _BASIS_BUDGET bytes.
     """
 
     max_level: int
-    buffer: int = 1
     size_limit: int = 2_000_000
 
 
@@ -399,8 +399,10 @@ class ClosureConfig:
 class ClosureResult:
     """dims and exact cover the reported levels 0..max_level; exact[m] says
     that dims[m] equals orbit_counts[m], its upper bound. buffered_dims,
-    orbit_counts and letter_counts cover every level the final run
-    carried. letter_counts[m] is the rank of level m on the levels closed
+    orbit_counts and letter_counts cover every level the one run carried,
+    0..max(2, max_level), so buffered_dims holds the dims of all of them
+    and is longer than dims only when max_level < 2; perfbench reads it
+    under this name. letter_counts[m] is the rank of level m on the levels closed
     as algebras, whose rows are its letters, and its count of distinct
     letters above."""
 
@@ -430,6 +432,12 @@ class _Engine:
             if m:
                 perms = [np.add.outer(q * self.n, g).ravel() for q, g in zip(perms, gens)]
             self.levels.append(_Level(self.n, m, perms))
+        # Each basis allocates its (2, R, R) float64 rows at once.
+        need = sum(16 * lv.R**2 for lv in self.levels)
+        if need > _BASIS_BUDGET:
+            raise ResourceCapError(
+                f"the bases of levels 0..{top} need {need} bytes, over the budget {_BASIS_BUDGET}"
+            )
         self._build_op_tables()
         # Level _LETTER_ALL_MAX is an algebra with one vertex orbit only.
         transitive = self.levels[min(top, 1)].R == 1
@@ -713,49 +721,32 @@ class _Engine:
 def closure(g: ColoredGraph, config: ClosureConfig) -> ClosureResult:
     """Dimension of each tensor level generated by the graph's boxes.
 
-    Levels 0..max_level are reported. The first run stops at max_level
-    (at least 2). A reported level whose dimension equals its orbit count
-    R_m is exact: a run carried buffer levels higher can only raise a
-    dimension, and no dimension can exceed R_m (see the module
-    docstring). When every reported level is exact, that run is the
-    result. Otherwise the run is repeated buffer levels higher, so that
-    material can flow up and come back down. A certified input therefore
-    never reaches the buffer levels, nor any ModularMismatchError that
-    only they would have raised.
+    Levels 0..max_level are reported, from one engine run with top level
+    max(2, max_level). A reported level whose dimension equals its orbit
+    count R_m is exact; any other is a certified lower bound (see the
+    module docstring).
 
     This is the one place that builds engines: the size limit is checked
-    once, against the highest level the call may need, and Aut(X) looked
-    up once, before any engine is built.
+    and Aut(X) looked up before the engine is built, and the engine checks
+    the basis budget before it allocates a basis.
     """
     if config.max_level < 0:
         raise ValueError("max_level must be >= 0")
-    if config.buffer < 0:
-        raise ValueError("buffer must be >= 0")
-    low = max(2, config.max_level)
-    top = max(2, config.max_level + config.buffer)
+    top = max(2, config.max_level)
     if g.n**top > config.size_limit:
         raise ResourceCapError(
             f"level {top} has {g.n**top} tuples, over the limit {config.size_limit}"
         )
-    aut = automorphism_group(g)
+    engine = _Engine(g, top, automorphism_group(g))
+    engine.run(g)
     reported = slice(config.max_level + 1)
-
-    def run(level: int) -> _Engine:
-        engine = _Engine(g, level, aut)
-        engine.run(g)
-        return engine
-
-    engine = run(low)
-    if top > low and not all(b.saturated for b in engine.bases[reported]):
-        engine = run(top)
-    exact = [b.saturated for b in engine.bases[reported]]
     all_dims = engine.dims()
     return ClosureResult(
         dims=all_dims[reported],
         buffered_dims=all_dims,
         orbit_counts=[lv.R for lv in engine.levels],
         letter_counts=engine.letter_counts,
-        exact=exact,
+        exact=[b.saturated for b in engine.bases[reported]],
     )
 
 
@@ -799,7 +790,7 @@ def bounded_c1(
     built from loop counts (empty in the odd case that loop counts up to
     length 6 stay constant even though the engine found a splitting).
     """
-    rank = closure(g, ClosureConfig(max_level=max(ceiling, 0), buffer=0)).buffered_dims[1]
+    rank = closure(g, ClosureConfig(max_level=max(ceiling, 0))).buffered_dims[1]
     if rank <= 1:
         return rank, []
     return rank, _loop_certificate(g)

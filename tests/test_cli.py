@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import importlib
+import itertools
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from qsymgraph.cli import main
+from qsymgraph.closure import ClosureConfig, closure
 from qsymgraph.graphs import (
     complement,
     complete,
@@ -140,8 +143,8 @@ def test_analyze_twenty_vertices(tmp_path, capsys):
 
 @pytest.mark.parametrize("copies, size", [(3, 6), (5, 5)], ids=["3c6", "5c5"])
 def test_analyze_no_closure_skips_the_fallback_dims(copies, size, tmp_path, capsys, monkeypatch):
-    # With dims, the raw closure of three hexagons takes about a minute and
-    # that of five pentagons stops at the size cap.
+    # With dims, the raw closure of three hexagons takes about 3 s and
+    # that of five pentagons about 2 s.
     def no_closure(*args, **kwargs):
         raise AssertionError("closure ran under --no-closure")
 
@@ -159,25 +162,71 @@ def test_analyze_no_closure_skips_the_fallback_dims(copies, size, tmp_path, caps
 
 def test_analyze_five_pentagons_stops_at_the_cap(tmp_path, capsys):
     # The group has order 12,000,000; the full-cycle search used to hang.
+    # Level 5 has 25^5 tuples, over the size limit.
     path = tmp_path / "5c5.graph"
     path.write_text(write_graph(disjoint_copies(5, n_gon(5))))
-    assert main(["analyze", str(path), "--json"]) == 3
+    assert main(["analyze", str(path), "--json", "--max-level", "5"]) == 3
     doc = json.loads(capsys.readouterr().out)
     assert doc["automorphisms"]["order"] == 12_000_000
     assert doc["classification"] is None
     assert any("size cap" in w for w in doc["warnings"])
 
 
+def noncrossing_partitions(m):
+    """The set partitions of 0..m-1 with no a < b < c < d such that a, c
+    share a block and b, d share another."""
+
+    def partitions(points):
+        if not points:
+            yield []
+            return
+        for p in partitions(points[1:]):
+            yield [[points[0]], *p]
+            for i in range(len(p)):
+                yield [*p[:i], [points[0], *p[i]], *p[i + 1 :]]
+
+    def crossing(p):
+        block = {x: i for i, b in enumerate(p) for x in b}
+        return any(
+            block[a] == block[c] != block[b] == block[d]
+            for a, b, c, d in itertools.combinations(range(m), 4)
+        )
+
+    return [p for p in partitions(list(range(m))) if not crossing(p)]
+
+
+def test_analyze_four_pentagons_gives_the_free_wreath_series(tmp_path, capsys):
+    # For k >= 4 copies of a connected Y, G+(kY) is G+(Y) free wreath S_k+
+    # (Bichon 2004), so c_m(kY) sums over the non-crossing partitions of m
+    # points the product of c_|B|(Y) over the blocks B (Lemeux and Tarrago
+    # 2016). At level 4 that is 63 + 4*13 + 2*9 + 6*3 + 1 = 152 for the
+    # pentagon, below R_4 = 161.
+    pentagon = closure(n_gon(5), ClosureConfig(max_level=4)).dims
+    expected = [
+        sum(math.prod(pentagon[len(b)] for b in p) for p in noncrossing_partitions(m))
+        for m in range(5)
+    ]
+    assert [len(noncrossing_partitions(m)) for m in range(6)] == [1, 1, 2, 5, 14, 42]
+    path = tmp_path / "4c5.graph"
+    path.write_text(write_graph(disjoint_copies(4, n_gon(5))))
+    assert main(["analyze", str(path), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["closure"]["dims"] == expected
+
+
 def test_analyze_resource_cap_partial_report(pentagon_file, capsys):
+    # 5^9 tuples pass the size limit; the basis budget refuses level 9.
     code = main(["analyze", pentagon_file, "--max-level", "9"])
     assert code == 3
     out = capsys.readouterr().out
     assert "classification: Dihedral(5)" in out
     assert "warning" in out
+    assert "over the budget" in out
 
 
 @pytest.mark.parametrize(
-    "flags", [["--max-level", "-1"], ["--buffer", "-3"], ["--buffer", "-3", "--json"]]
+    "flags",
+    [["--max-level", "-1"], ["--max-level", "-3", "--json"], ["--max-level", "-3", "--no-closure"]],
 )
 def test_analyze_negative_levels_are_usage_errors(pentagon_file, flags, capsys):
     assert main(["analyze", pentagon_file, *flags]) == 2

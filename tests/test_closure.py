@@ -39,15 +39,15 @@ from qsymgraph.graphs import (
 )
 from qsymgraph.scalars import GaussianRational
 from qsymgraph.series import CubeSeries
-from qsymgraph.symmetry import automorphism_group
+from qsymgraph.symmetry import automorphism_group, classical_series_prefix
 from reference_engine import SpinTensor, mult, reference_closure
 
 closure_module = importlib.import_module("qsymgraph.closure")
 GRAPHS_DIR = Path(__file__).resolve().parent.parent / "graphs"
 
 
-def dims_of(g, max_level, **kwargs):
-    return closure(g, ClosureConfig(max_level=max_level, **kwargs)).dims
+def dims_of(g, max_level):
+    return closure(g, ClosureConfig(max_level=max_level)).dims
 
 
 def relabeled(g, perm):
@@ -88,7 +88,7 @@ def test_cube_level_five_meets_its_closed_form():
     # the level's rows; the cube (672 against R_5 = 816) and the four
     # points (Catalan 42 against 51) check them where they fall short.
     g = parse_graph((GRAPHS_DIR / "cube.graph").read_text())
-    result = closure(g, ClosureConfig(max_level=5, buffer=0))
+    result = closure(g, ClosureConfig(max_level=5))
     assert result.dims == CubeSeries().prefix(6)
     assert result.orbit_counts[5] == 816
 
@@ -125,10 +125,8 @@ def test_fast_engine_matches_exact_reference(g, level):
     ids=["oriented3", "square", "edge_arc_edge"],
 )
 def test_engine_top_level_matches_exact_reference(g, top):
-    # Every input small enough for the reference is certified at buffer 0,
-    # so closure() never returns a buffered run on them. Run the engine
-    # directly: its top level, the one a buffered run reads its buffer
-    # from, must agree with the reference at every level.
+    # Run the engine directly: every level up to its top, the level where
+    # a closure() run stops, must agree with the reference.
     engine = closure_module._Engine(g, top, automorphism_group(g))
     engine.run(g)
     assert engine.dims() == reference_closure(g, top, buffer=0)
@@ -202,16 +200,20 @@ def test_level_four_is_an_algebra_on_vertex_transitive_graphs_only():
 
 
 def test_buffered_dims_extend_reported_dims():
-    # Level 4 of the four points falls short of its orbit count, so the
-    # buffer levels are carried.
-    result = closure(edgeless(4), ClosureConfig(max_level=4, buffer=2))
+    # buffered_dims covers every level the one run carried. Level 4 of the
+    # four points falls short of its orbit count, and no higher level is
+    # carried for it.
+    result = closure(edgeless(4), ClosureConfig(max_level=4))
     assert result.buffered_dims[:5] == result.dims
-    assert len(result.buffered_dims) == 7
+    assert len(result.buffered_dims) == 5
     assert result.max_level == 4
-    # Every level of the pentagon through 3 is exact without them.
-    certified = closure(n_gon(5), ClosureConfig(max_level=3, buffer=2))
+    # Every level of the pentagon through 3 is exact.
+    certified = closure(n_gon(5), ClosureConfig(max_level=3))
     assert certified.exact == [True] * 4
     assert len(certified.buffered_dims) == 4
+    # The run reaches level 2 at least, whatever is reported.
+    low = closure(n_gon(5), ClosureConfig(max_level=1))
+    assert (low.dims, low.buffered_dims) == ([1, 1], [1, 1, 3])
 
 
 def test_point_set_level_four_is_not_certified():
@@ -220,7 +222,7 @@ def test_point_set_level_four_is_not_certified():
     assert result.dims == [1, 1, 2, 5, 14]
     assert result.orbit_counts[4] == 15
     assert result.exact == [True, True, True, True, False]
-    assert len(result.buffered_dims) == 6
+    assert len(result.buffered_dims) == 5
 
 
 @pytest.fixture
@@ -239,8 +241,8 @@ def engine_tops(monkeypatch):
 
 def test_rook_graph_is_certified_at_level_four_by_one_engine(engine_tops):
     # With the lifted boxes and cup-caps as its letters, level 4 of the
-    # rook's graph reached 101 without the buffer level and needed it for
-    # 105 = R_4. Closed as an algebra, it meets R_4 in the first run.
+    # rook's graph reached 101 in a run to level 4 and needed a run to
+    # level 5 for 105 = R_4. Closed as an algebra, it meets R_4 in one run.
     g = parse_graph((GRAPHS_DIR / "discrete-torus.graph").read_text())
     result = closure(g, ClosureConfig(max_level=4))
     assert result.dims == [1, 1, 3, 15, 105]
@@ -256,14 +258,15 @@ def test_certified_input_builds_one_engine_and_one_group(monkeypatch, engine_top
         return automorphism_group(g)
 
     monkeypatch.setattr(closure_module, "automorphism_group", counting_group)
-    result = closure(n_gon(6), ClosureConfig(max_level=3, buffer=2))
+    result = closure(n_gon(6), ClosureConfig(max_level=3))
     assert all(result.exact)
     assert (engines, len(groups)) == ([3], 1)
     engines.clear()
     groups.clear()
+    # An uncertified level builds no second engine either.
     result = closure(edgeless(4), ClosureConfig(max_level=4))
     assert not result.exact[4]
-    assert (engines, len(groups)) == ([4, 5], 1)
+    assert (engines, len(groups)) == ([4], 1)
 
 
 @pytest.mark.parametrize(
@@ -331,20 +334,37 @@ def test_size_cap_refusal():
         closure(n_gon(5), ClosureConfig(max_level=3, size_limit=100))
     with pytest.raises(ValueError):
         closure(n_gon(5), ClosureConfig(max_level=-1))
-    with pytest.raises(ValueError):
-        closure(n_gon(5), ClosureConfig(max_level=4, buffer=-2))
 
 
-def test_size_cap_applies_to_the_buffer_level(monkeypatch):
-    # 5^9 tuples fit under the default limit and 5^10 do not; the buffer
-    # level is refused before any engine is built, even though the pentagon
-    # would be certified without it.
-    def no_engine(*args):
-        raise AssertionError("an engine was built")
+@pytest.fixture
+def no_basis(monkeypatch):
+    """Fail the test if any _ModBasis is built."""
 
-    monkeypatch.setattr(closure_module, "_Engine", no_engine)
-    with pytest.raises(ResourceCapError, match="level 10"):
+    def no_basis(width):
+        raise AssertionError("a basis was built")
+
+    monkeypatch.setattr(closure_module, "_ModBasis", no_basis)
+
+
+def test_basis_budget_refuses_the_pentagon_at_level_nine(no_basis):
+    # 5^9 tuples fit under the default size limit, but the bases would
+    # take about 592 GiB; the budget refuses them before any is built.
+    with pytest.raises(ResourceCapError, match="over the budget"):
         closure(n_gon(5), ClosureConfig(max_level=9))
+
+
+def test_basis_budget_names_the_predicted_bytes(no_basis):
+    # Each level's basis holds (2, R_m, R_m) float64 residues, and R_m is
+    # the classical series coefficient, counted here by Burnside's lemma.
+    # The pentagon at level 8 (R_8 = 39,063) needs about 23.7 GiB.
+    counts = classical_series_prefix(automorphism_group(n_gon(5)), 9)
+    need = sum(16 * int(r) ** 2 for r in counts)
+    with pytest.raises(ResourceCapError, match=f"need {need} bytes"):
+        closure(n_gon(5), ClosureConfig(max_level=8))
+    # Level 7 predicts 0.95 GiB, under the budget, so the engine goes on to
+    # build its bases.
+    with pytest.raises(AssertionError, match="a basis was built"):
+        closure(n_gon(5), ClosureConfig(max_level=7))
 
 
 def test_c1_bound_splits_mixed_union():
@@ -841,8 +861,9 @@ def test_fast_engine_matches_reference_on_generated_graphs():
         return ColoredGraph(n, comps)
 
     # The reference works on all n^m coordinates, so level 3 is drawn for
-    # n <= 3 only (81 coordinates at the buffer level) and n = 4 stops at
-    # level 2 (64). The two examples make sure both largest cases run.
+    # n <= 3 only and n = 4 stops at level 2 (one level more made this
+    # test 3-5 times slower). The two examples make sure both largest
+    # cases run.
     @hypothesis.settings(max_examples=60, deadline=None, database=None)
     @hypothesis.given(colored_graphs(), st.integers(0, 3))
     @hypothesis.example(graph_from_lines(4, ["edge a 0 1", "arc b 1 2", "edge a 2 3"]), 2)
@@ -858,7 +879,7 @@ def test_fast_engine_matches_reference_on_generated_graphs():
     check()
 
 
-def test_adaptive_buffer_matches_the_buffered_run_on_generated_graphs():
+def test_closure_matches_a_higher_engine_run_on_generated_graphs():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -892,16 +913,19 @@ def test_adaptive_buffer_matches_the_buffered_run_on_generated_graphs():
         )
         return ColoredGraph(n, comps)
 
-    # Levels up to 3 on these inputs rarely fall short of their orbit
-    # counts, so level 4 is drawn too, and most often. The level is
-    # lowered until n^top <= 500 |Aut(X)| (a five-vertex graph with no
-    # symmetry took 23 s at top level 5, 3125 orbits). The buffer levels must not change a dim: buffer 0 gives the buffered
-    # engine's dims. The rook's graph at level 4 once needed its buffer
-    # level, when only the lifted boxes and cup-caps were level 4's letters
+    # closure() makes one run and reports its levels. An engine run one or
+    # two levels higher can only raise a dim (module docstring); that it
+    # raises none is what lets closure() stop at its own top. Levels up to
+    # 3 on these inputs rarely fall short of their orbit counts, so level
+    # 4 is drawn too, and most often. The level is lowered until n^top <=
+    # 500 |Aut(X)| for the higher run (a five-vertex graph with no
+    # symmetry took 23 s at top level 5, 3125 orbits). The rook's graph at
+    # level 4 once needed the higher run, when only the lifted boxes and
+    # cup-caps were level 4's letters
     # (test_rook_graph_is_certified_at_level_four_by_one_engine). The
-    # examples are six-vertex graphs that reach level 4 at buffer 1: K33
-    # with one side's triangle in a second color (|Aut| = 36), and K33 with
-    # each side an oriented triangle (|Aut| = 18).
+    # examples are six-vertex graphs that reach level 4 with a run to
+    # level 5: K33 with one side's triangle in a second color (|Aut| =
+    # 36), and K33 with each side an oriented triangle (|Aut| = 18).
     k33 = [f"edge a {i} {j}" for i in range(3) for j in range(3, 6)]
     triangle = ["edge b 0 1", "edge b 1 2", "edge b 0 2"]
     arcs = [f"arc b {t + i} {t + (i + 1) % 3}" for t in (0, 3) for i in range(3)]
@@ -912,15 +936,14 @@ def test_adaptive_buffer_matches_the_buffered_run_on_generated_graphs():
     )
     @hypothesis.example(graph_from_lines(6, k33 + triangle), 4, 1)
     @hypothesis.example(graph_from_lines(6, k33 + arcs), 4, 1)
-    def check(g, level, buffer):
+    def check(g, level, extra):
         aut = automorphism_group(g)
-        while level and g.n ** (level + buffer) > 500 * aut.order:
+        while level and g.n ** (level + extra) > 500 * aut.order:
             level -= 1
-        result = closure(g, ClosureConfig(max_level=level, buffer=buffer))
-        engine = closure_module._Engine(g, max(2, level + buffer), aut)
+        result = closure(g, ClosureConfig(max_level=level))
+        engine = closure_module._Engine(g, max(2, level + extra), aut)
         engine.run(g)
         assert result.dims == engine.dims()[: level + 1]
-        assert dims_of(g, level, buffer=0) == result.dims
         assert len(result.exact) == level + 1
         for m, exact in enumerate(result.exact):
             assert exact == (result.dims[m] == result.orbit_counts[m])
