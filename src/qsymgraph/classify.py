@@ -33,6 +33,7 @@ import numpy as np
 
 from .closure import ClosureConfig, closure
 from .graphs import (
+    LOOP_SCREEN_LENGTH,
     ORIENTED,
     UNORIENTED,
     ColoredGraph,
@@ -61,7 +62,7 @@ from .series import (
     PoincareSeries,
     tl_series,
 )
-from .symmetry import _ELEMENT_CAP, PermutationGroup, automorphism_group
+from .symmetry import PermutationGroup, automorphism_group
 
 # The most vertices canonical_key, regular_graph_reps and the census take.
 CENSUS_MAX_N = 9
@@ -452,14 +453,15 @@ def cyclic_criterion(g: ColoredGraph) -> CyclicVerdict:
     if len(g.components) != 1 or g.components[0].kind != UNORIENTED:
         return CyclicVerdict(False, n, "needs exactly one unoriented color")
     group = automorphism_group(g)
-    if group.is_transitive() and group.order > _ELEMENT_CAP:
+    try:
+        order = _cycle_order(group)
+    except ValueError:
         return CyclicVerdict(
             False,
             n,
             f"symmetry group of order {group.order} is too large to search "
             "for a full cycle",
         )
-    order = _cycle_order(group)
     if not order:
         return CyclicVerdict(False, n, "symmetry group has no full cycle")
     edge_set = {frozenset(p) for p in g.components[0].pairs}
@@ -885,7 +887,7 @@ def classify(
     loops_ok, bad_len, bad_label = loop_rule_check(g)
     screen = "transitive" if transitive else "not transitive"
     if loops_ok:
-        screen += ", loop counts constant through length 6"
+        screen += f", loop counts constant through length {LOOP_SCREEN_LENGTH}"
     else:
         screen += f", loop counts uneven at length {bad_len} in color {bad_label}"
     trail.append(f"screen: {screen}")

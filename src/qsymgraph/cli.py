@@ -19,7 +19,13 @@ from pathlib import Path
 
 from .classify import CENSUS_MAX_N, Classification, classify, enumerate_homogeneous
 from .closure import ClosureConfig, ResourceCapError, closure
-from .graphs import ColoredGraph, GraphParseError, loop_rule_check, parse_graph
+from .graphs import (
+    LOOP_SCREEN_LENGTH,
+    ColoredGraph,
+    GraphParseError,
+    loop_rule_check,
+    parse_graph,
+)
 from .series import (
     CubeSeries,
     CyclicGroupSeries,
@@ -231,7 +237,7 @@ def _render_analysis(doc: dict, timings: list[tuple[str, float]]) -> None:
         print(f"fixed points: {shown}")
     lr = doc["loop_rule"]
     if lr["holds"]:
-        print("loop rule: holds through length 6")
+        print(f"loop rule: holds through length {LOOP_SCREEN_LENGTH}")
     else:
         print(
             f"loop rule: fails at length {lr['first_bad_length']} "
@@ -365,12 +371,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _degree(g: ColoredGraph) -> int:
-    counts = [0] * g.n
-    for c in g.components:
-        for i, j in c.pairs:
-            counts[i] += 1
-            counts[j] += 1
-    return counts[0] if g.n else 0
+    """The degree of a census graph, which has one color or none."""
+    return g.components[0].degree(0)[0] if g.components else 0
 
 
 # ---------------------------------------------------------------------------

@@ -40,11 +40,13 @@ rows actually adjoined become resident, and a level that stops short of R
 rows never pays for the rest. Growing the rows by doubling copies would
 keep the old and the new array alive together: the octagon at level 4,
 run through level 5 (2,056 orbits), peaked at 241 MiB that way against
-179 MiB. Because the rows are allocated up front, the engine predicts
-their bytes, 16 R_m^2 per level, from its orbit counts before it builds any
-basis, and refuses with ResourceCapError above _BASIS_BUDGET. Below
-glibc's mmap threshold a calloc block may come from the heap and be
-zero-filled in full; on the measured inputs that raised no peak.
+179 MiB. Both caps on a run live in the engine's constructor, which raises
+ResourceCapError: a top level above _TUPLE_LIMIT raw tuples is refused
+before Aut(X) is looked up, and because the rows are allocated up front,
+their bytes, 16 R_m^2 per level, are predicted from the orbit counts and
+refused above _BASIS_BUDGET before any basis is built. Below glibc's
+mmap threshold a calloc block may come from the heap and be zero-filled
+in full; on the measured inputs that raised no peak.
 
 Candidates are reduced a block at a time, in the manner of the blocked
 word-size prime-field elimination of Dumas, Giorgi and Pernet (FFLAS and
@@ -131,9 +133,9 @@ from itertools import count
 
 import numpy as np
 
-from .graphs import ColoredGraph, _component_walk_matrix, total_matrix
+from .graphs import LOOP_SCREEN_LENGTH, ColoredGraph, _component_walk_matrix, total_matrix
 from .scalars import GaussianRational
-from .symmetry import PermutationGroup, automorphism_group
+from .symmetry import automorphism_group
 
 _PRIMES = np.array([2097143.0, 2097133.0])
 _INVERSES = 1.0 / _PRIMES
@@ -145,6 +147,7 @@ _BLOCK = 64  # queue items reduced together
 _REMAINDER_MAX = 800  # largest stack _mod reduces with one np.remainder call
 _ELEMENT_BUDGET = 1 << 20  # float64 elements in one letter-product temporary
 _LETTER_ALL_MAX = 4  # levels up to here are algebras on a vertex-transitive graph
+_TUPLE_LIMIT = 2_000_000  # raw tuples of the top level one engine may code
 _BASIS_BUDGET = 2 << 30  # bytes of basis rows one engine may allocate
 
 
@@ -153,8 +156,8 @@ class ModularMismatchError(RuntimeError):
 
 
 class ResourceCapError(ValueError):
-    """A size cap or the basis budget refused the computation before it
-    started."""
+    """The engine's constructor refused the run: its top level has more
+    than _TUPLE_LIMIT tuples, or its bases more than _BASIS_BUDGET bytes."""
 
 
 def _reversed_codes(codes: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -382,17 +385,14 @@ def _apply_letters(rows: np.ndarray, letters: np.ndarray, tables: tuple) -> np.n
 
 @dataclass(frozen=True)
 class ClosureConfig:
-    """Knobs for the saturation run.
+    """The saturation run's one knob.
 
     max_level: highest level whose dimension is reported. The run carries
-        levels 0..max(2, max_level).
-    size_limit: refuse a run whose top level has more than this many raw
-        tuples; it bounds the orbit arrays. The bases are bounded apart
-        from it, by _BASIS_BUDGET bytes.
+        levels 0..max(2, max_level); its caps are the engine's
+        (_TUPLE_LIMIT and _BASIS_BUDGET).
     """
 
     max_level: int
-    size_limit: int = 2_000_000
 
 
 @dataclass
@@ -410,27 +410,35 @@ class ClosureResult:
     buffered_dims: list[int]
     orbit_counts: list[int]
     letter_counts: list[int]
-    exact: list[bool]
 
     @property
     def max_level(self) -> int:
         return len(self.dims) - 1
 
+    @property
+    def exact(self) -> list[bool]:
+        return [d == r for d, r in zip(self.dims, self.orbit_counts)]
+
 
 class _Engine:
-    """One saturation run over levels 0..top; aut is the group Aut(X)."""
+    """One saturation run of g over levels 0..top; the constructor checks the caps."""
 
-    def __init__(self, g: ColoredGraph, top: int, aut: PermutationGroup):
+    def __init__(self, g: ColoredGraph, top: int):
+        if g.n**top > _TUPLE_LIMIT:
+            raise ResourceCapError(
+                f"level {top} has {g.n**top} tuples, over the limit {_TUPLE_LIMIT}"
+            )
+        self.g = g
         self.n = g.n
         self.top = top
-        gens = [np.asarray(p, dtype=np.int64) for p in aut.generators]
+        gens = [np.asarray(p, dtype=np.int64) for p in automorphism_group(g).generators]
         # A generator acts on the code a * n + b of level m as on a at
         # level m - 1 and on the vertex b.
         perms = [np.zeros(1, dtype=np.int64) for _ in gens]
         self.levels = []
         for m in range(top + 1):
             if m:
-                perms = [np.add.outer(q * self.n, g).ravel() for q, g in zip(perms, gens)]
+                perms = [np.add.outer(q * self.n, p).ravel() for q, p in zip(perms, gens)]
             self.levels.append(_Level(self.n, m, perms))
         # Each basis allocates its (2, R, R) float64 rows at once.
         need = sum(16 * lv.R**2 for lv in self.levels)
@@ -528,14 +536,14 @@ class _Engine:
                 ok &= d[:, j] == d[:, m - 1 - j]
         return self._wrap(ok.astype(np.int64))
 
-    def _seed_vecs(self, g: ColoredGraph) -> list[np.ndarray]:
+    def _seed_vecs(self) -> list[np.ndarray]:
         """The arc matrix of every color, at level 2."""
         lv = self.levels[2]
         i = lv.reps // self.n
         j = lv.reps % self.n
         return [
-            self._wrap(_component_walk_matrix(g, comp.label)[i, j])
-            for comp in g.components
+            self._wrap(_component_walk_matrix(self.g, comp.label)[i, j])
+            for comp in self.g.components
         ]
 
     # -- structural operations on coordinate vectors ------------------------
@@ -668,14 +676,14 @@ class _Engine:
                 queue.appendleft((stamp, ("products", i, end)))
         return items
 
-    def _core_letters(self, g: ColoredGraph) -> None:
+    def _core_letters(self) -> None:
         """Rotated strand-lifts of boxes and cup-caps, the "words" letters
         of the levels above algebra_top, each distinct vector stored
         once, in the order first generated. They are built before any row
         exists, so no product is queued for them here."""
         if self.top <= self.algebra_top:
             return
-        lifted = self._seed_vecs(g)
+        lifted = self._seed_vecs()
         lifted = lifted + [self._star(2, v) for v in lifted]
         for m in range(3, self.top + 1):
             lifted = [self._incl(m - 1, v) for v in lifted]
@@ -691,13 +699,13 @@ class _Engine:
 
     # -- main loop -----------------------------------------------------------
 
-    def run(self, g: ColoredGraph) -> None:
-        self._core_letters(g)
+    def run(self) -> None:
+        self._core_letters()
         self._push(0, ("vec", self._unit_vec()))
         for m in range(2, self.top + 1):
             self._push(m, ("vec", self._jones_vec(m)))
         if self.top >= 2:
-            for v in self._seed_vecs(g):
+            for v in self._seed_vecs():
                 self._push(2, ("vec", v))
         while True:
             heads = [(q[0][0], m) for m, q in enumerate(self.queues) if q]
@@ -724,33 +732,23 @@ def closure(g: ColoredGraph, config: ClosureConfig) -> ClosureResult:
     Levels 0..max_level are reported, from one engine run with top level
     max(2, max_level). A reported level whose dimension equals its orbit
     count R_m is exact; any other is a certified lower bound (see the
-    module docstring).
-
-    This is the one place that builds engines: the size limit is checked
-    and Aut(X) looked up before the engine is built, and the engine checks
-    the basis budget before it allocates a basis.
+    module docstring). The engine raises ResourceCapError when its caps
+    refuse the run.
     """
     if config.max_level < 0:
         raise ValueError("max_level must be >= 0")
-    top = max(2, config.max_level)
-    if g.n**top > config.size_limit:
-        raise ResourceCapError(
-            f"level {top} has {g.n**top} tuples, over the limit {config.size_limit}"
-        )
-    engine = _Engine(g, top, automorphism_group(g))
-    engine.run(g)
-    reported = slice(config.max_level + 1)
+    engine = _Engine(g, max(2, config.max_level))
+    engine.run()
     all_dims = engine.dims()
     return ClosureResult(
-        dims=all_dims[reported],
+        dims=all_dims[: config.max_level + 1],
         buffered_dims=all_dims,
         orbit_counts=[lv.R for lv in engine.levels],
         letter_counts=engine.letter_counts,
-        exact=[b.saturated for b in engine.bases[reported]],
     )
 
 
-def _loop_certificate(g: ColoredGraph, lmax: int = 6) -> list[tuple[GaussianRational, ...]]:
+def _loop_certificate(g: ColoredGraph) -> list[tuple[GaussianRational, ...]]:
     """Indicator vectors of the level sets of the first uneven loop count.
 
     Powers of the total box have diagonals fixed by every symmetry of the
@@ -759,7 +757,7 @@ def _loop_certificate(g: ColoredGraph, lmax: int = 6) -> list[tuple[GaussianRati
     """
     t = total_matrix(g)
     power = t
-    for _ in range(2, lmax + 1):
+    for _ in range(2, LOOP_SCREEN_LENGTH + 1):
         power = power @ t
         diag = [power[i, i] for i in range(g.n)]
         classes: dict[GaussianRational, list[int]] = {}
@@ -778,19 +776,17 @@ def _loop_certificate(g: ColoredGraph, lmax: int = 6) -> list[tuple[GaussianRati
     return []
 
 
-def bounded_c1(
-    g: ColoredGraph, ceiling: int = 3
-) -> tuple[int, list[tuple[GaussianRational, ...]]]:
+def bounded_c1(g: ColoredGraph) -> tuple[int, list[tuple[GaussianRational, ...]]]:
     """Lower bound for the dimension of the level-1 fixed space.
 
-    Every vector the engine keeps is independent modulo a prime, hence
-    genuinely independent, so the count is a certified lower bound; a
-    value of 2 or more rules out a one-dimensional fixed algebra. When
-    that happens the second component carries explicit witness functions
-    built from loop counts (empty in the odd case that loop counts up to
-    length 6 stay constant even though the engine found a splitting).
-    """
-    rank = closure(g, ClosureConfig(max_level=max(ceiling, 0))).buffered_dims[1]
+    Every vector a closure run to level 3 keeps is independent modulo a
+    prime, hence genuinely independent, so the count is a certified lower
+    bound; a value of 2 or more rules out a one-dimensional fixed algebra.
+    When that happens the second component carries explicit witness
+    functions built from loop counts (empty in the odd case that loop
+    counts up to LOOP_SCREEN_LENGTH stay constant though the engine found
+    a splitting)."""
+    rank = closure(g, ClosureConfig(max_level=3)).dims[1]
     if rank <= 1:
         return rank, []
     return rank, _loop_certificate(g)

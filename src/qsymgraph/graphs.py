@@ -22,6 +22,7 @@ from .scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational
 
 UNORIENTED = "unoriented"
 ORIENTED = "oriented"
+LOOP_SCREEN_LENGTH = 6  # longest closed walks the loop screen counts
 
 
 class GraphError(ValueError):
@@ -232,19 +233,24 @@ def metric_import(ms: MetricSpace) -> ColoredGraph:
 # ---------------------------------------------------------------------------
 # Moves that preserve the quantum symmetry object.
 
+def _uncovered_pairs(g: ColoredGraph) -> frozenset[tuple[int, int]]:
+    """The vertex pairs i < j that no component covers."""
+    present = g.covered_pairs()
+    return frozenset(
+        (i, j)
+        for i in range(g.n)
+        for j in range(i + 1, g.n)
+        if frozenset((i, j)) not in present
+    )
+
+
 def complement(g: ColoredGraph) -> ColoredGraph:
     """Complement of a plain graph (at most one unoriented component)."""
     if any(c.kind == ORIENTED for c in g.components):
         raise GraphError("complement is defined for unoriented graphs")
     if len(g.components) > 1:
         raise GraphError("complement needs at most one component")
-    present = g.covered_pairs()
-    missing = frozenset(
-        (i, j)
-        for i in range(g.n)
-        for j in range(i + 1, g.n)
-        if frozenset((i, j)) not in present
-    )
+    missing = _uncovered_pairs(g)
     label = g.components[0].label if g.components else "c"
     if not missing:
         return ColoredGraph(g.n, ())
@@ -271,13 +277,7 @@ def reverse(g: ColoredGraph, label: str) -> ColoredGraph:
 
 def saturate(g: ColoredGraph) -> ColoredGraph:
     """Add one fresh unoriented component covering the uncovered pairs."""
-    present = g.covered_pairs()
-    missing = frozenset(
-        (i, j)
-        for i in range(g.n)
-        for j in range(i + 1, g.n)
-        if frozenset((i, j)) not in present
-    )
+    missing = _uncovered_pairs(g)
     if not missing:
         return g
     label = "sat"
@@ -291,9 +291,9 @@ def saturate(g: ColoredGraph) -> ColoredGraph:
 # ---------------------------------------------------------------------------
 # Constructors.
 
-def _single(n: int, edges: Iterable[tuple[int, int]], label: str = "c") -> ColoredGraph:
+def _single(n: int, edges: Iterable[tuple[int, int]]) -> ColoredGraph:
     pairs = frozenset(_norm_edge(i, j) for i, j in edges)
-    g = ColoredGraph(n, (ColorComponent(label, UNORIENTED, pairs),) if pairs else ())
+    g = ColoredGraph(n, (ColorComponent("c", UNORIENTED, pairs),) if pairs else ())
     validate(g)
     return g
 
@@ -483,18 +483,17 @@ def loop_counts(g: ColoredGraph, length: int, label: str | None = None) -> list[
 
 
 @lru_cache(maxsize=32)
-def loop_rule_check(
-    g: ColoredGraph, max_length: int = 6
-) -> tuple[bool, int | None, str | None]:
-    """Check that every color has constant diagonal walk counts up to the
-    given length. Returns (passed, first bad length, offending label).
+def loop_rule_check(g: ColoredGraph) -> tuple[bool, int | None, str | None]:
+    """Check that every color has constant diagonal walk counts up to
+    length LOOP_SCREEN_LENGTH. Returns (passed, first bad length,
+    offending label).
 
     Memoized on the graph, which is frozen and hashable: one analysis
     screens the same graph from the command line and from classify."""
     for c in g.components:
         a = _component_walk_matrix(g, c.label)
         power = np.eye(g.n, dtype=np.int64)
-        for length in range(1, max_length + 1):
+        for length in range(1, LOOP_SCREEN_LENGTH + 1):
             power = power @ a
             diag = power.diagonal()
             if not np.all(diag == diag[0]):

@@ -162,7 +162,7 @@ def test_analyze_no_closure_skips_the_fallback_dims(copies, size, tmp_path, caps
 
 def test_analyze_five_pentagons_stops_at_the_cap(tmp_path, capsys):
     # The group has order 12,000,000; the full-cycle search used to hang.
-    # Level 5 has 25^5 tuples, over the size limit.
+    # Level 5 has 25^5 tuples, over the tuple limit.
     path = tmp_path / "5c5.graph"
     path.write_text(write_graph(disjoint_copies(5, n_gon(5))))
     assert main(["analyze", str(path), "--json", "--max-level", "5"]) == 3
@@ -215,7 +215,7 @@ def test_analyze_four_pentagons_gives_the_free_wreath_series(tmp_path, capsys):
 
 
 def test_analyze_resource_cap_partial_report(pentagon_file, capsys):
-    # 5^9 tuples pass the size limit; the basis budget refuses level 9.
+    # 5^9 tuples pass the tuple limit; the basis budget refuses level 9.
     code = main(["analyze", pentagon_file, "--max-level", "9"])
     assert code == 3
     out = capsys.readouterr().out

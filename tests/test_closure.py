@@ -29,6 +29,7 @@ from qsymgraph.graphs import (
     ColoredGraph,
     complement,
     complete,
+    disjoint_copies,
     edgeless,
     multi_simplex,
     n_gon,
@@ -127,8 +128,8 @@ def test_fast_engine_matches_exact_reference(g, level):
 def test_engine_top_level_matches_exact_reference(g, top):
     # Run the engine directly: every level up to its top, the level where
     # a closure() run stops, must agree with the reference.
-    engine = closure_module._Engine(g, top, automorphism_group(g))
-    engine.run(g)
+    engine = closure_module._Engine(g, top)
+    engine.run()
     assert engine.dims() == reference_closure(g, top, buffer=0)
 
 
@@ -190,9 +191,9 @@ def test_level_four_is_an_algebra_on_vertex_transitive_graphs_only():
     # closure about twice as slow.
     path = graph_from_lines(4, ["edge c 0 1", "edge c 1 2", "edge c 2 3"])
     for g, algebra_top in ((n_gon(6), 4), (edgeless(3), 4), (path, 3)):
-        engine = closure_module._Engine(g, 5, automorphism_group(g))
+        engine = closure_module._Engine(g, 5)
         assert engine.algebra_top == algebra_top
-        engine.run(g)
+        engine.run()
         letters = engine.letter_counts
         assert letters[: algebra_top + 1] == engine.dims()[: algebra_top + 1]
         assert all(engine.letters[m] is None for m in range(algebra_top + 1))
@@ -231,9 +232,9 @@ def engine_tops(monkeypatch):
     tops = []
 
     class CountingEngine(closure_module._Engine):
-        def __init__(self, g, top, *args):
+        def __init__(self, g, top):
             tops.append(top)
-            super().__init__(g, top, *args)
+            super().__init__(g, top)
 
     monkeypatch.setattr(closure_module, "_Engine", CountingEngine)
     return tops
@@ -329,9 +330,10 @@ def test_orbit_compression_counts():
     assert result.letter_counts[2] > 0
 
 
-def test_size_cap_refusal():
-    with pytest.raises(ResourceCapError):
-        closure(n_gon(5), ClosureConfig(max_level=3, size_limit=100))
+def test_size_cap_refusal(monkeypatch):
+    monkeypatch.setattr(closure_module, "_TUPLE_LIMIT", 100)
+    with pytest.raises(ResourceCapError, match="over the limit 100"):
+        closure(n_gon(5), ClosureConfig(max_level=3))
     with pytest.raises(ValueError):
         closure(n_gon(5), ClosureConfig(max_level=-1))
 
@@ -346,8 +348,22 @@ def no_basis(monkeypatch):
     monkeypatch.setattr(closure_module, "_ModBasis", no_basis)
 
 
+def test_tuple_limit_refuses_before_the_group_and_the_levels(monkeypatch, no_basis):
+    # 5C5 at level 5 has 25^5 = 9,765,625 tuples, over the limit: the
+    # engine refuses it before it looks up the group of order 12,000,000
+    # or codes any tuple.
+    def fail(*args):
+        raise AssertionError("the run went past the tuple limit")
+
+    monkeypatch.setattr(closure_module, "automorphism_group", fail)
+    monkeypatch.setattr(closure_module, "_Level", fail)
+    refusal = "level 5 has 9765625 tuples, over the limit 2000000"
+    with pytest.raises(ResourceCapError, match=refusal):
+        closure(disjoint_copies(5, n_gon(5)), ClosureConfig(max_level=5))
+
+
 def test_basis_budget_refuses_the_pentagon_at_level_nine(no_basis):
-    # 5^9 tuples fit under the default size limit, but the bases would
+    # 5^9 tuples fit under the tuple limit, but the bases would
     # take about 592 GiB; the budget refuses them before any is built.
     with pytest.raises(ResourceCapError, match="over the budget"):
         closure(n_gon(5), ClosureConfig(max_level=9))
@@ -571,8 +587,8 @@ def test_float64_exactness_bound():
 
 def test_letter_products_stay_exact_past_one_chunk(monkeypatch):
     # A level whose product table is wider than _CHUNK: n = 46, m = 4 has
-    # n^(m//2) = 2116 terms per sum, and 46^4 tuples, more than the default
-    # size limit allows. Only tables of that width are built, over R = 3
+    # n^(m//2) = 2116 terms per sum, and 46^4 tuples, more than the tuple
+    # limit allows. Only tables of that width are built, over R = 3
     # orbits, the first two columns one run. The residues are odd or random
     # and all close to p, so an unchunked float64 sum would pass 2^53 with
     # odd partial sums and round.
@@ -774,7 +790,7 @@ def test_op_tables_match_the_digit_table_construction():
     top = 4
     for name, g in op_table_graphs():
         aut = automorphism_group(g)
-        engine = closure_module._Engine(g, top, aut)
+        engine = closure_module._Engine(g, top)
         gens = [np.asarray(p, dtype=np.int64) for p in aut.generators]
         ref = SimpleNamespace(
             n=g.n, top=top, levels=[DigitLevel(g.n, m, gens) for m in range(top + 1)],
@@ -807,7 +823,7 @@ def test_op_tables_match_the_digit_table_construction():
 def test_products_of_rows_match_spinplanar_mult(name):
     g = dict(op_table_graphs())[name]
     top = 4
-    engine = closure_module._Engine(g, top, automorphism_group(g))
+    engine = closure_module._Engine(g, top)
     rng = random.Random(name)
     for m in range(top + 1):
         lv = engine.levels[m]
@@ -941,8 +957,8 @@ def test_closure_matches_a_higher_engine_run_on_generated_graphs():
         while level and g.n ** (level + extra) > 500 * aut.order:
             level -= 1
         result = closure(g, ClosureConfig(max_level=level))
-        engine = closure_module._Engine(g, max(2, level + extra), aut)
-        engine.run(g)
+        engine = closure_module._Engine(g, max(2, level + extra))
+        engine.run()
         assert result.dims == engine.dims()[: level + 1]
         assert len(result.exact) == level + 1
         for m, exact in enumerate(result.exact):
