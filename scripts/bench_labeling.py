@@ -11,8 +11,10 @@ Corpora:
 Per corpus the script prints, as JSON, the number of inputs, the number
 of distinct keys, a sha256 of the sorted keys (each prefixed by its
 vertex count, as `canonical_key` does, one hex line each) and the best
-of REPEAT timings of `_canonical_adjacency` over the whole corpus. The
-inputs are built before timing. Run it on another checkout with
+of REPEAT timings of `_least_key` over the whole corpus. The inputs are
+built as neighbour bitmasks before timing, so these timings leave out
+the conversion from a bool matrix (`np.packbits`) that the timings of
+`BENCH_11.json` included. Run it on another checkout with
 `--src CHECKOUT/src` to compare two versions on the same corpus:
 
     python3 scripts/bench_labeling.py [--src DIR]
@@ -27,31 +29,27 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 REPEAT = 3
 
 
-def as_matrix(adj) -> np.ndarray:
-    """Completions come as bool matrices or as neighbour bitmask rows."""
-    if isinstance(adj, np.ndarray):
-        return adj
-    n = len(adj)
-    return np.array([[m >> j & 1 for j in range(n)] for m in adj], dtype=bool).reshape(n, n)
+def masks(g) -> list[int]:
+    """Neighbour bitmasks of a graph: bit j of masks(g)[v] is set when v ~ j."""
+    nbr = [0] * g.n
+    for c in g.components:
+        for i, j in c.pairs:
+            nbr[i] |= 1 << j
+            nbr[j] |= 1 << i
+    return nbr
 
 
-def corpora(classify, complement, automorphism_group) -> dict[str, list[np.ndarray]]:
-    def completions(n: int) -> list[np.ndarray]:
-        return [
-            as_matrix(adj)
-            for k in range((n - 1) // 2 + 1)
-            for adj in classify._regular_completions(n, k)
-        ]
+def corpora(classify, complement, automorphism_group) -> dict[str, list[list[int]]]:
+    def completions(n: int) -> list[list[int]]:
+        return [nbr for k in range((n - 1) // 2 + 1) for nbr in classify._regular_completions(n, k)]
 
-    def complements(reps) -> list[np.ndarray]:
-        return [classify._plain_adjacency(complement(g)) for g in reps]
+    def complements(reps) -> list[list[int]]:
+        return [masks(complement(g)) for g in reps]
 
-    census: list[np.ndarray] = []
+    census: list[list[int]] = []
     for n in range(1, 9):
         census += completions(n)
         reps = classify.regular_graph_reps(n)
@@ -64,13 +62,13 @@ def corpora(classify, complement, automorphism_group) -> dict[str, list[np.ndarr
     return out
 
 
-def measure(label, inputs: list[np.ndarray]) -> dict:
-    keys = [bytes([a.shape[0]]) + label(a)[0] for a in inputs]
+def measure(label, inputs: list[list[int]]) -> dict:
+    keys = [bytes([len(nbr)]) + label(nbr) for nbr in inputs]
     best = float("inf")
     for _ in range(REPEAT):
         start = time.perf_counter()
-        for a in inputs:
-            label(a)
+        for nbr in inputs:
+            label(nbr)
         best = min(best, time.perf_counter() - start)
     digest = hashlib.sha256("\n".join(k.hex() for k in sorted(keys)).encode()).hexdigest()
     return {
@@ -91,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
     from qsymgraph.symmetry import automorphism_group
 
     results = {
-        name: measure(classify._canonical_adjacency, inputs)
+        name: measure(classify._least_key, inputs)
         for name, inputs in corpora(classify, complement, automorphism_group).items()
     }
     print(json.dumps(results, indent=2))

@@ -61,7 +61,6 @@ from .graphs import (
 from .linalg import ExactMatrix, char_poly, rational_eigenvalues
 from .scalars import CyclotomicElement, GaussianRational
 from .series import (
-    CoefficientPrefix,
     CubeSeries,
     CyclicGroupSeries,
     DihedralSeries,
@@ -69,7 +68,6 @@ from .series import (
     HadamardProduct,
     PoincareSeries,
     RationalSum,
-    temperley_lieb_series,
     tl_series,
 )
 from .symmetry import (

@@ -19,11 +19,12 @@ a generated graph takes the leftmost vertices of each cell of later
 vertices alike on 0..v-1, as swapping two of them fixes every earlier
 row and v. Duplicates go by the least adjacency bit string over all
 vertex relabelings, found by a depth-first search that prunes by the
-automorphisms it meets.
+automorphisms it meets. The module holds a plain graph's adjacency as
+neighbour bitmasks, bit j of nbr[v] set when v ~ j, and a key as the
+packed row-major adjacency bits, first bit most significant.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -50,6 +51,7 @@ from .graphs import (
     n_gon,
     tensor_product,
     validate,
+    _single,
 )
 from .linalg import rational_eigenvalues
 from .scalars import CyclotomicElement, cyclotomic_power
@@ -118,73 +120,66 @@ class Classification:
 # Structure helpers.
 
 
-def _union_adjacency(g: ColoredGraph) -> list[set[int]]:
-    nbrs: list[set[int]] = [set() for _ in range(g.n)]
+def _neighbours(g: ColoredGraph) -> list[int]:
+    """Neighbour bitmasks over every color: bit j of nbr[v] is set when v ~ j."""
+    nbr = [0] * g.n
     for c in g.components:
         for i, j in c.pairs:
-            nbrs[i].add(j)
-            nbrs[j].add(i)
-    return nbrs
+            nbr[i] |= 1 << j
+            nbr[j] |= 1 << i
+    return nbr
 
 
-def _is_connected(g: ColoredGraph) -> bool:
-    return len(_connected_pieces(g)) <= 1
+def _is_connected(nbr: list[int]) -> bool:
+    return len(_connected_pieces(nbr)) <= 1
 
 
-def _is_regular(g: ColoredGraph) -> bool:
-    nbrs = _union_adjacency(g)
-    return len({len(s) for s in nbrs}) <= 1
+def _is_regular(nbr: list[int]) -> bool:
+    return len({mask.bit_count() for mask in nbr}) <= 1
 
 
-def _connected_pieces(g: ColoredGraph) -> list[list[int]]:
-    nbrs = _union_adjacency(g)
-    seen: set[int] = set()
+def _connected_pieces(nbr: list[int]) -> list[int]:
+    """The vertex sets of the connected pieces, as bitmasks, by least vertex."""
     pieces = []
-    for start in range(g.n):
-        if start in seen:
-            continue
-        piece = [start]
-        seen.add(start)
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for w in nbrs[v]:
-                if w not in seen:
-                    seen.add(w)
-                    piece.append(w)
-                    frontier.append(w)
-        pieces.append(sorted(piece))
+    left = (1 << len(nbr)) - 1
+    while left:
+        piece, grown = 0, left & -left
+        while grown != piece:
+            piece = grown
+            for v in range(len(nbr)):
+                if piece >> v & 1:
+                    grown |= nbr[v]
+        pieces.append(piece)
+        left &= ~piece
     return pieces
-
-
-def _plain_adjacency(g: ColoredGraph) -> np.ndarray:
-    """Boolean matrix of a graph with at most one unoriented color."""
-    if any(c.kind == ORIENTED for c in g.components):
-        raise GraphError("needs an unoriented graph")
-    if len(g.components) > 1:
-        raise GraphError("needs at most one color")
-    adj = np.zeros((g.n, g.n), dtype=bool)
-    for c in g.components:
-        for i, j in c.pairs:
-            adj[i, j] = adj[j, i] = True
-    return adj
-
-
-def _graph_from_adjacency(adj: np.ndarray) -> ColoredGraph:
-    n = adj.shape[0]
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if adj[i, j]]
-    from .graphs import _single
-
-    return _single(n, edges)
 
 
 # ---------------------------------------------------------------------------
 # Canonical forms: the least adjacency bit string over all relabelings.
 
 
-def _canonical_adjacency(adj: np.ndarray) -> tuple[bytes, np.ndarray]:
-    """Least packed row-major bit string of a symmetric, loopless adj over
-    all relabelings, plus the relabeled matrix that spells it.
+def _spelled(nbr: list[int], order: list[int] | None = None) -> bytes:
+    """The key of neighbour bitmasks with vertex order[i] at position i, by
+    default in their own labeling, without a search: the packed row-major
+    adjacency bits, first bit most significant."""
+    n = len(nbr)
+    order = list(range(n)) if order is None else order
+    bits = 0
+    for u in order:
+        for w in order:
+            bits = bits << 1 | nbr[u] >> w & 1
+    return (bits << (-n * n) % 8).to_bytes((n * n + 7) // 8, "big")
+
+
+def _graph_of_key(key: bytes, n: int) -> ColoredGraph:
+    """The graph on n vertices whose adjacency bits the key spells."""
+    bits = int.from_bytes(key, "big") >> (-n * n) % 8
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if bits >> n * (n - i) - 1 - j & 1]
+    return _single(n, edges)
+
+
+def _least_key(nbr: list[int]) -> bytes:
+    """The least key of neighbour bitmasks over all relabelings.
 
     A depth-first search places one vertex per position. A node's cells
     order the unplaced vertices; a child places a vertex v of the first
@@ -205,13 +200,6 @@ def _canonical_adjacency(adj: np.ndarray) -> tuple[bytes, np.ndarray]:
     vertex map an explored sibling onto it, or when it is a twin of one,
     u and v with N(u) - {v} = N(v) - {u}: their transposition is such.
     """
-    n = adj.shape[0]
-    key = _least_key([int.from_bytes(r, "little") for r in np.packbits(adj, 1, "little")])
-    return key, _unpacked(key, n)
-
-
-def _least_key(nbr: list[int]) -> bytes:
-    """_canonical_adjacency's key of neighbour bitmasks, v ~ j at bit j of nbr[v]."""
     n = len(nbr)
     twins: dict[int, int] = {}
     for v, nv in enumerate(nbr):
@@ -274,8 +262,7 @@ def _least_key(nbr: list[int]) -> bytes:
         return n
 
     search([(1 << n) - 1] if n else [], 0, False)
-    bits = sum(row << n * (n - 1 - i) for i, row in enumerate(best))
-    return (bits << (-n * n) % 8).to_bytes((n * n + 7) // 8, "big")
+    return _spelled(nbr, best_order)
 
 
 def _branches(nbr: list[int], cells: list[int]) -> tuple[int, list[int]]:
@@ -295,16 +282,6 @@ def _branches(nbr: list[int], cells: list[int]) -> tuple[int, list[int]]:
     return least, children
 
 
-def _packed(adj: np.ndarray) -> bytes:
-    """The packed row-major bit string of adj: the key of a canonical matrix."""
-    return np.packbits(adj.reshape(-1)).tobytes()
-
-
-def _unpacked(key: bytes, n: int) -> np.ndarray:
-    """The n x n bool matrix whose packed row-major bit string is key."""
-    return np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=n * n).reshape(n, n) > 0
-
-
 def canonical_key(g: ColoredGraph) -> bytes:
     """Isomorphism-invariant key for plain graphs on at most CENSUS_MAX_N
     vertices.
@@ -315,8 +292,11 @@ def canonical_key(g: ColoredGraph) -> bytes:
     """
     if g.n > CENSUS_MAX_N:
         raise GraphError(f"canonical keys are limited to {CENSUS_MAX_N} vertices")
-    key, _ = _canonical_adjacency(_plain_adjacency(g))
-    return bytes([g.n]) + key
+    if any(c.kind == ORIENTED for c in g.components):
+        raise GraphError("needs an unoriented graph")
+    if len(g.components) > 1:
+        raise GraphError("needs at most one color")
+    return bytes([g.n]) + _least_key(_neighbours(g))
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +362,7 @@ def regular_graph_reps(n: int) -> list[ColoredGraph]:
         raise GraphError(f"regular enumeration is limited to {CENSUS_MAX_N} vertices")
     degrees = range((n - 1) // 2 + 1)
     found = {_least_key(nbr) for k in degrees for nbr in _regular_completions(n, k)}
-    return [_graph_from_adjacency(_unpacked(key, n)) for key in sorted(found)]
+    return [_graph_of_key(key, n) for key in sorted(found)]
 
 
 @lru_cache(maxsize=None)
@@ -390,13 +370,10 @@ def product_factor_candidates(m: int) -> tuple[ColoredGraph, ...]:
     """Connected regular graphs on m vertices up to isomorphism."""
     out: dict[bytes, ColoredGraph] = {}
     for rep in regular_graph_reps(m):
-        adj, comp = _plain_adjacency(rep), _plain_adjacency(complement(rep))
-        for key, canon in ((_packed(adj), adj), _canonical_adjacency(comp)):
-            if key in out:
-                continue
-            candidate = _graph_from_adjacency(canon)
-            if _is_connected(candidate):
-                out[key] = candidate
+        nbr, comp = _neighbours(rep), _neighbours(complement(rep))
+        for key, masks in ((_spelled(nbr), nbr), (_least_key(comp), comp)):
+            if key not in out and _is_connected(masks):
+                out[key] = _graph_of_key(key, m)
     return tuple(out[key] for key in sorted(out))
 
 
@@ -464,12 +441,8 @@ def cyclic_criterion(g: ColoredGraph) -> CyclicVerdict:
         )
     if not order:
         return CyclicVerdict(False, n, "symmetry group has no full cycle")
-    edge_set = {frozenset(p) for p in g.components[0].pairs}
-    e = [0] * n
-    for k in range(1, n):
-        if frozenset((order[0], order[k])) in edge_set:
-            e[k] = 1
-    profile = CyclicProfile(n, tuple(e))
+    nbr = _neighbours(g)
+    profile = CyclicProfile(n, tuple(nbr[order[0]] >> v & 1 for v in order))
     values = []
     for j in range(n // 2 + 1):
         acc = CyclotomicElement.zero(n)
@@ -534,9 +507,10 @@ def product_test(
     ):
         return ProductVerdict(False, "not isomorphic to the tensor product")
     for name, f in (("first factor", y), ("second factor", z)):
-        if not _is_regular(f):
+        nbr = _neighbours(f)
+        if not _is_regular(nbr):
             return ProductVerdict(False, f"{name} is not regular")
-        if not _is_connected(f):
+        if not _is_connected(nbr):
             return ProductVerdict(False, f"{name} is not connected")
     spectra: list[tuple[Fraction, ...]] = []
     for name, f in (("first factor", y), ("second factor", z)):
@@ -629,22 +603,16 @@ def recognize_fuss_catalan(g: ColoredGraph) -> FussCatalanMatch | None:
         c = g.components[0]
         if len(c.pairs) == n * (n - 1) // 2:
             return FussCatalanMatch((n,), n >= 4, "complete graph")
-        pieces = _connected_pieces(g)
-        if len(pieces) >= 2:
-            sizes = {len(p) for p in pieces}
-            if len(sizes) == 1:
-                m = sizes.pop()
-                if m >= 2:
-                    pairs = {frozenset(p) for p in c.pairs}
-                    if all(
-                        frozenset((a, b)) in pairs
-                        for p in pieces
-                        for a, b in itertools.combinations(p, 2)
-                    ):
-                        k = len(pieces)
-                        return FussCatalanMatch(
-                            (k, m), k >= 4 and m >= 4, "disjoint complete copies"
-                        )
+        nbr = _neighbours(g)
+        pieces = _connected_pieces(nbr)
+        sizes = {p.bit_count() for p in pieces}
+        if len(pieces) >= 2 and len(sizes) == 1:
+            m = sizes.pop()
+            # Connected pieces of m vertices are complete exactly when
+            # every vertex has degree m - 1.
+            if m >= 2 and all(mask.bit_count() == m - 1 for mask in nbr):
+                k = len(pieces)
+                return FussCatalanMatch((k, m), k >= 4 and m >= 4, "disjoint complete copies")
         if n == 8 and is_isomorphic(g, disjoint_copies(2, n_gon(4))):
             return FussCatalanMatch((2, 2, 2), False, "two squares")
         return None
@@ -1076,11 +1044,9 @@ def enumerate_homogeneous(
         for g in regular_graph_reps(n):
             if not automorphism_group(g).is_transitive():
                 continue
-            key = bytes([n]) + _packed(_plain_adjacency(g))
-            raw, canon = _canonical_adjacency(_plain_adjacency(complement(g)))
-            comp_key = bytes([n]) + raw
+            key, comp_key = bytes([n]) + _spelled(_neighbours(g)), canonical_key(complement(g))
             pool[key] = (g, comp_key)
-            pool.setdefault(comp_key, (_graph_from_adjacency(canon), key))
+            pool.setdefault(comp_key, (_graph_of_key(comp_key[1:], n), key))
         for key in sorted(pool):
             g, comp_key = pool[key]
             dense = denser_than_half(g)

@@ -78,11 +78,6 @@ class FussCatalan(PoincareSeries):
         return Fraction(s**s, (s + 1) ** (s + 1))
 
 
-def temperley_lieb_series() -> FussCatalan:
-    """Catalan numbers: the free symmetry series of a bare point set."""
-    return FussCatalan(1)
-
-
 def tl_series(n: int) -> PoincareSeries:
     """Series of n bare points: Catalan once n reaches 4, where the free
     quantum symmetry stabilizes; below that the dihedral closed forms."""
@@ -169,19 +164,3 @@ class HadamardProduct(PoincareSeries):
         if ra is None or rb is None:
             return None
         return ra * rb
-
-
-@dataclass(frozen=True)
-class CoefficientPrefix(PoincareSeries):
-    """A series known only through finitely many computed coefficients."""
-
-    values: tuple[Fraction, ...]
-
-    @property
-    def formula(self) -> str:  # type: ignore[override]
-        return "known prefix only"
-
-    def coefficient(self, k: int) -> Fraction:
-        if k >= len(self.values):
-            raise IndexError(f"coefficient {k} not computed (have {len(self.values)})")
-        return self.values[k]

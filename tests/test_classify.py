@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from qsymgraph.classify import (
-    _canonical_adjacency,
+    _graph_of_key,
     _least_key,
-    _packed,
-    _plain_adjacency,
+    _neighbours,
     _regular_completions,
+    _spelled,
     canonical_key,
     check_landau_relations,
     classify,
@@ -361,6 +361,21 @@ def test_pentagon_is_no_simplex():
     assert recognize_fuss_catalan(n_gon(5)) is None
 
 
+@pytest.mark.parametrize(
+    "g",
+    [disjoint_copies(2, n_gon(5)), disjoint_copies(3, n_gon(4)), disjoint_copies(2, cube())],
+    ids=["2C5", "3C4", "2cube"],
+)
+def test_equal_regular_pieces_that_are_not_complete_match_nothing(g):
+    assert recognize_fuss_catalan(g) is None
+
+
+def test_three_triangles_are_disjoint_complete_copies():
+    match = recognize_fuss_catalan(disjoint_copies(3, complete(3)))
+    assert match is not None
+    assert (match.indices, match.generic, match.rule) == ((3, 3), False, "disjoint complete copies")
+
+
 # -- averaging tower ----------------------------------------------------------
 
 
@@ -502,6 +517,20 @@ def test_enumeration_guard():
         enumerate_homogeneous(0)
 
 
+@pytest.mark.parametrize(
+    "g, message",
+    [
+        (oriented_n_gon(4), "needs an unoriented graph"),
+        (multi_simplex(2, 2), "needs at most one color"),
+        (complete(10), "limited to 9 vertices"),
+    ],
+    ids=["oriented", "two-colors", "ten-vertices"],
+)
+def test_canonical_key_refuses_what_it_cannot_key(g, message):
+    with pytest.raises(GraphError, match=message):
+        canonical_key(g)
+
+
 def test_canonical_key_separates_sizes():
     assert canonical_key(edgeless(3)) != canonical_key(edgeless(4))
     assert canonical_key(n_gon(4)) == canonical_key(
@@ -518,10 +547,10 @@ def test_regular_reps_small_counts():
 
 
 def test_regular_reps_spell_their_keys():
-    """The census reads each rep's key off its matrix, without a search."""
+    """The census reads each rep's key off its masks, without a search."""
     for n in range(1, 10):
         reps = regular_graph_reps(n)
-        keys = [bytes([n]) + _packed(_plain_adjacency(g)) for g in reps]
+        keys = [bytes([n]) + _spelled(_neighbours(g)) for g in reps]
         assert keys == [canonical_key(g) for g in reps]
         assert keys == sorted(set(keys))
 
@@ -580,7 +609,7 @@ def pinned_keys(n, k):
         assert np.array_equal(adj, adj.T)
         assert not adj.diagonal().any()
         assert (adj.sum(axis=1) == k).all()
-        keys.add(_canonical_adjacency(adj)[0])
+        keys.add(_least_key(masks_of(adj)))
     return keys
 
 
@@ -612,7 +641,7 @@ def test_regular_completions_match_the_graph_atlas():
         if n == 0 or len(degrees) != 1:
             continue
         adj = nx.to_numpy_array(h, nodelist=range(n), dtype=bool)
-        atlas.setdefault((n, degrees.pop()), set()).add(_canonical_adjacency(adj)[0])
+        atlas.setdefault((n, degrees.pop()), set()).add(_least_key(masks_of(adj)))
     for n in range(1, 8):
         for k in range(n):
             got = completion_keys(n, k)
@@ -632,6 +661,16 @@ def test_cell_rule_labels_far_fewer_completions():
 
 
 # -- canonical labeling -------------------------------------------------------
+
+
+def masks_of(adj):
+    """Neighbour bitmasks of a bool matrix: bit j of masks_of(adj)[v] is set when v ~ j."""
+    return [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in adj]
+
+
+def matrix_of(nbr):
+    """The bool matrix of neighbour bitmasks, for the reference labelers."""
+    return np.array([[m >> j & 1 for j in range(len(nbr))] for m in nbr], dtype=bool)
 
 
 def brute_force_canonical(adj):
@@ -661,19 +700,18 @@ def oracle_inputs():
     k44 = complement(disjoint_copies(2, complete(4)))
     for g in (cube(), n_gon(8), disjoint_copies(4, complete(2)),
               disjoint_copies(2, complete(4)), k44):
-        yield _plain_adjacency(g)
+        yield matrix_of(_neighbours(g))
 
 
 def test_canonical_adjacency_matches_brute_force():
     for adj in oracle_inputs():
-        key, canon = _canonical_adjacency(adj)
+        key = _least_key(masks_of(adj))
         want_key, want_canon = brute_force_canonical(adj)
         assert key == want_key
-        assert canon.dtype == want_canon.dtype
-        assert np.array_equal(canon, want_canon)
+        assert _graph_of_key(key, len(adj)) == graph_of(masks_of(want_canon))
 
 
-# The breadth-first search _canonical_adjacency ran before it pruned by
+# The breadth-first search _least_key ran before it pruned by
 # automorphisms, kept verbatim as a test-only reference.
 def breadth_first_canonical(adj: np.ndarray) -> tuple[bytes, np.ndarray]:
     """Least packed row-major bit string of a symmetric, loopless adj over
@@ -729,12 +767,12 @@ def breadth_first_canonical(adj: np.ndarray) -> tuple[bytes, np.ndarray]:
         states = survivors
     perm = list(states[0][0])
     canon = adj[np.ix_(perm, perm)]
-    return _packed(canon), canon
+    return np.packbits(canon.reshape(-1)).tobytes(), canon
 
 
 def test_canonical_adjacency_matches_the_breadth_first_search():
     inputs = [
-        _plain_adjacency(graph_of(nbr))
+        matrix_of(nbr)
         for n in range(1, 10)
         for k in range(n)
         for nbr in _regular_completions(n, k)
@@ -751,15 +789,14 @@ def test_canonical_adjacency_matches_the_breadth_first_search():
     for n, k in ((10, 3), (11, 4)):
         for nbr in itertools.islice(_regular_completions(n, k), 0, None, 97):
             perm = rng.sample(range(n), n)
-            adj = _plain_adjacency(graph_of(nbr))
+            adj = matrix_of(nbr)
             inputs.append(adj[np.ix_(perm, perm)])
     assert len(inputs) > 800
     for adj in inputs:
-        key, canon = _canonical_adjacency(adj)
+        key = _least_key(masks_of(adj))
         want_key, want_canon = breadth_first_canonical(adj)
         assert key == want_key
-        assert canon.dtype == want_canon.dtype
-        assert np.array_equal(canon, want_canon)
+        assert _graph_of_key(key, len(adj)) == graph_of(masks_of(want_canon))
 
 
 @pytest.mark.parametrize(
@@ -784,8 +821,8 @@ def test_automorphisms_prune_the_labeling_search(g, most, monkeypatch):
         return branches(*args)
 
     monkeypatch.setattr(classify_module, "_branches", counting)
-    key, _ = _canonical_adjacency(_plain_adjacency(g))
-    assert key == breadth_first_canonical(_plain_adjacency(g))[0]
+    key = _least_key(_neighbours(g))
+    assert key == breadth_first_canonical(matrix_of(_neighbours(g)))[0]
     assert len(expanded) <= most
 
 

@@ -7,20 +7,18 @@ from math import comb
 import pytest
 
 from qsymgraph.series import (
-    CoefficientPrefix,
     CubeSeries,
     CyclicGroupSeries,
     DihedralSeries,
     FussCatalan,
     HadamardProduct,
     RationalSum,
-    temperley_lieb_series,
     tl_series,
 )
 
 
 def test_catalan_prefix():
-    cat = temperley_lieb_series()
+    cat = FussCatalan(1)
     assert cat.prefix(8) == [1, 1, 2, 5, 14, 42, 132, 429]
     assert cat.radius() == Fraction(1, 4)
 
@@ -110,14 +108,6 @@ def test_hadamard_commutes_and_associates():
 def test_rational_sum_radius_largest_pole():
     series = RationalSum.from_histogram({0: 2, 2: 3, 7: 1})
     assert series.radius() == Fraction(1, 7)
-
-
-def test_coefficient_prefix_guards():
-    p = CoefficientPrefix((Fraction(1), Fraction(1), Fraction(3)))
-    assert p.prefix(3) == [1, 1, 3]
-    with pytest.raises(IndexError):
-        p.coefficient(3)
-    assert p.radius() is None
 
 
 def test_every_closed_form_starts_one_one():
