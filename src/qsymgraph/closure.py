@@ -133,7 +133,7 @@ from itertools import count
 
 import numpy as np
 
-from .graphs import LOOP_SCREEN_LENGTH, ColoredGraph, _component_walk_matrix, total_matrix
+from .graphs import ColoredGraph, _component_walk_matrix, loop_counts, loop_rule_check
 from .scalars import GaussianRational
 from .symmetry import automorphism_group
 
@@ -461,27 +461,26 @@ class _Engine:
     # -- op tables ---------------------------------------------------------
 
     def _build_op_tables(self) -> None:
-        """Gathers for the structural operations, by arithmetic on tuple
-        codes: rotation moves the last digit first, star reverses the
-        digits, inclusion into level m deletes digit m // 2, and expectation
-        from level m + 1 inserts digit (m + 1) // 2."""
+        """ops[kind][m] = (source level, gather, mask, summed): the level-m
+        image under kind of a vector v at the source level is v[..., gather],
+        times mask if any, summed over its last axis if summed (_image). By
+        arithmetic on tuple codes: rot and star read level m, rotation moving
+        the last digit first and star reversing the digits; incl reads level
+        m - 1, deleting digit m // 2, masked on even m; expect reads level
+        m + 1, inserting digit (m + 1) // 2, summed on even m.
+        ops["incl"][0] and ops["expect"][top] are None."""
         n = self.n
-        self.rot_gather = []
-        self.rev_gather = []
+        rot, star, incl, expect = [], [], [None], []
         for lv in self.levels:
             rest, last = np.divmod(lv.reps, n)
-            self.rot_gather.append(lv.orbit_dense[last * n ** max(lv.m - 1, 0) + rest])
-            self.rev_gather.append(lv.orbit_dense[_reversed_codes(lv.reps, n, lv.m)])
-        # incl_map[m]: build a level-m vector from one at m-1
-        self.incl_map: list[tuple[np.ndarray, np.ndarray | None] | None] = [None]
+            rot.append((lv.m, lv.orbit_dense[last * n ** max(lv.m - 1, 0) + rest], None, False))
+            star.append((lv.m, lv.orbit_dense[_reversed_codes(lv.reps, n, lv.m)], None, False))
         for m in range(1, self.top + 1):
             low = n ** (m - 1 - m // 2)
             head, rest = np.divmod(self.levels[m].reps, low * n)
             digit, tail = np.divmod(rest, low)
             gather = self.levels[m - 1].orbit_dense[head * low + tail]
-            self.incl_map.append((gather, head % n == digit if m % 2 == 0 else None))
-        # expect_map[m]: build a level-m vector from one at m+1
-        self.expect_map: list[tuple[np.ndarray, bool] | None] = []
+            incl.append((m - 1, gather, head % n == digit if m % 2 == 0 else None, False))
         for m in range(self.top):
             low = n ** (m // 2)
             head, tail = np.divmod(self.levels[m].reps, low)
@@ -489,8 +488,9 @@ class _Engine:
                 src = ((head * n)[:, None] + np.arange(n)) * low + tail[:, None]
             else:
                 src = (head * n + head % n) * low + tail
-            self.expect_map.append((self.levels[m + 1].orbit_dense[src], m % 2 == 0))
-        self.expect_map.append(None)
+            expect.append((m + 1, self.levels[m + 1].orbit_dense[src], None, m % 2 == 0))
+        expect.append(None)
+        self.ops = {"rot": rot, "star": star, "incl": incl, "expect": expect}
 
     def _mult_tables_for(self, m: int) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
         """The product tables of level m and their runs (_apply_letters):
@@ -546,26 +546,12 @@ class _Engine:
             for comp in self.g.components
         ]
 
-    # -- structural operations on coordinate vectors ------------------------
-    #
-    # Each takes a vector (2, R) or a stack of them (2, s, R) at level m.
-
-    def _rotate(self, m: int, v: np.ndarray) -> np.ndarray:
-        return v[..., self.rot_gather[m]]
-
-    def _star(self, m: int, v: np.ndarray) -> np.ndarray:
-        return v[..., self.rev_gather[m]]
-
-    def _incl(self, m: int, v: np.ndarray) -> np.ndarray:
-        gather, mask = self.incl_map[m + 1]
+    def _image(self, kind: str, m: int, v: np.ndarray) -> np.ndarray:
+        """The level-m image under kind of a vector (2, R) or stack (2, s, R) at its source."""
+        _, gather, mask, summed = self.ops[kind][m]
         out = v[..., gather]
         if mask is not None:
             out = out * mask
-        return out
-
-    def _expect(self, m: int, v: np.ndarray) -> np.ndarray:
-        table, summed = self.expect_map[m - 1]
-        out = v[..., table]
         if summed:
             out = _mod(out.sum(axis=-1))
         return out
@@ -585,7 +571,8 @@ class _Engine:
         self.queues[m].append((next(self._stamp), item))
 
     def _materialise(self, m: int, items: list[tuple]) -> np.ndarray:
-        """The candidate vectors of the items, one gather per kind.
+        """The candidate vectors of the items: one _image per structural
+        kind, of the rows of the source level that ops names for it.
 
         The products are taken as one cross product per kind, of the
         distinct rows and letters its items name. Each kind pairs a few new
@@ -607,15 +594,9 @@ class _Engine:
                 at, idx = images.setdefault(item[0], ([], []))
                 at.append(pos)
                 idx.append(item[1])
-        ops = {
-            "rot": (m, self._rotate),
-            "star": (m, self._star),
-            "incl": (m - 1, self._incl),
-            "expect": (m + 1, self._expect),
-        }
         for kind, (at, idx) in images.items():
-            src, op = ops[kind]
-            block[:, at] = op(src, self.bases[src].rows[:, idx])
+            src = self.ops[kind][m][0]
+            block[:, at] = self._image(kind, m, self.bases[src].rows[:, idx])
         if products:
             tables = self._mult_tables_for(m)
             rows = self.bases[m].rows
@@ -629,10 +610,10 @@ class _Engine:
                 # factors on the cheap side of _apply_letters.
                 starred = len(letter_ids) > len(row_ids)
                 if starred:
-                    left, right = self._star(m, right), self._star(m, left)
+                    left, right = self._image("star", m, right), self._image("star", m, left)
                 out = _apply_letters(left, np.ascontiguousarray(right.transpose(0, 2, 1)), tables)
                 if starred:
-                    out = self._star(m, out).transpose(0, 2, 1, 3)
+                    out = self._image("star", m, out).transpose(0, 2, 1, 3)
                 at, ri, li = zip(*prs)
                 ri, li = np.searchsorted(row_ids, ri), np.searchsorted(letter_ids, li)
                 block[:, list(at)] = out[:, ri, li]
@@ -684,16 +665,16 @@ class _Engine:
         if self.top <= self.algebra_top:
             return
         lifted = self._seed_vecs()
-        lifted = lifted + [self._star(2, v) for v in lifted]
+        lifted = lifted + [self._image("star", 2, v) for v in lifted]
         for m in range(3, self.top + 1):
-            lifted = [self._incl(m - 1, v) for v in lifted]
+            lifted = [self._image("incl", m, v) for v in lifted]
             if m <= self.algebra_top:
                 continue
             distinct: dict[bytes, np.ndarray] = {}
             for v in lifted + [self._jones_vec(m)]:
                 for _ in range(m):
                     distinct.setdefault(v.tobytes(), v)
-                    v = self._rotate(m, v)
+                    v = self._image("rot", m, v)
             self.letters[m] = np.stack(list(distinct.values()), axis=1)
             self.letter_counts[m] = len(distinct)
 
@@ -748,45 +729,22 @@ def closure(g: ColoredGraph, config: ClosureConfig) -> ClosureResult:
     )
 
 
-def _loop_certificate(g: ColoredGraph) -> list[tuple[GaussianRational, ...]]:
-    """Indicator vectors of the level sets of the first uneven loop count.
-
-    Powers of the total box have diagonals fixed by every symmetry of the
-    graph, so splitting the vertices by a non-constant diagonal yields
-    explicit non-constant fixed vertex functions.
-    """
-    t = total_matrix(g)
-    power = t
-    for _ in range(2, LOOP_SCREEN_LENGTH + 1):
-        power = power @ t
-        diag = [power[i, i] for i in range(g.n)]
-        classes: dict[GaussianRational, list[int]] = {}
-        for i, value in enumerate(diag):
-            classes.setdefault(value, []).append(i)
-        if len(classes) > 1:
-            out = []
-            for value in sorted(classes, key=lambda z: (z.re, z.im)):
-                members = set(classes[value])
-                out.append(
-                    tuple(
-                        GaussianRational.of(1 if i in members else 0) for i in range(g.n)
-                    )
-                )
-            return out
-    return []
-
-
 def bounded_c1(g: ColoredGraph) -> tuple[int, list[tuple[GaussianRational, ...]]]:
     """Lower bound for the dimension of the level-1 fixed space.
 
     Every vector a closure run to level 3 keeps is independent modulo a
     prime, hence genuinely independent, so the count is a certified lower
     bound; a value of 2 or more rules out a one-dimensional fixed algebra.
-    When that happens the second component carries explicit witness
-    functions built from loop counts (empty in the odd case that loop
-    counts up to LOOP_SCREEN_LENGTH stay constant though the engine found
-    a splitting)."""
+    The witnesses are the indicator vectors, by ascending count, of the
+    level sets of the first uneven loop_counts that loop_rule_check
+    reports: a quantum symmetry commutes with each color's arc matrix (the
+    color-splitting lemma), so it fixes every diagonal of its powers. They
+    are empty when the rank is at most 1 or the loop screen passes."""
     rank = closure(g, ClosureConfig(max_level=3)).dims[1]
-    if rank <= 1:
+    passed, length, label = loop_rule_check(g)
+    if rank <= 1 or passed:
         return rank, []
-    return rank, _loop_certificate(g)
+    counts = loop_counts(g, length, label)
+    return rank, [
+        tuple(GaussianRational.of(int(c == v)) for c in counts) for v in sorted(set(counts))
+    ]

@@ -34,11 +34,6 @@ class ExactMatrix:
             [[GR_ONE if i == j else GR_ZERO for j in range(n)] for i in range(n)]
         )
 
-    @staticmethod
-    def zeros(n: int, m: int | None = None) -> "ExactMatrix":
-        m = n if m is None else m
-        return ExactMatrix([[GR_ZERO] * m for _ in range(n)])
-
     def __getitem__(self, ij: tuple[int, int]) -> GaussianRational:
         return self.rows[ij[0]][ij[1]]
 
@@ -76,9 +71,6 @@ class ExactMatrix:
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(list(zip(*self.rows)))
-
-    def trace(self) -> GaussianRational:
-        return sum((self.rows[i][i] for i in range(min(self.nrows, self.ncols))), GR_ZERO)
 
     def is_rational(self) -> bool:
         return all(a.im == 0 for row in self.rows for a in row)

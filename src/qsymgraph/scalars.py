@@ -114,19 +114,13 @@ def _coerce(x: "GaussianRational | RationalLike") -> GaussianRational:
     raise TypeError(f"cannot use {type(x).__name__} as a GaussianRational")
 
 
-def format_fraction(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
 def format_gaussian(z: GaussianRational) -> str:
     """Render as ``p/q`` when rational, otherwise ``p/q+r/s*i``."""
     if z.im == 0:
-        return format_fraction(z.re)
-    im_part = format_fraction(abs(z.im)) + "*i"
+        return str(z.re)
+    im_part = str(abs(z.im)) + "*i"
     sign = "+" if z.im > 0 else "-"
-    return format_fraction(z.re) + sign + im_part
+    return str(z.re) + sign + im_part
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +256,10 @@ class CyclotomicElement:
             if c == 0:
                 continue
             if k == 0:
-                parts.append(format_fraction(c))
+                parts.append(str(c))
             else:
                 mono = f"z{self.order}" if k == 1 else f"z{self.order}^{k}"
-                parts.append(f"{format_fraction(c)}*{mono}")
+                parts.append(f"{c}*{mono}")
         return " + ".join(parts)
 
 

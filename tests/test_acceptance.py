@@ -311,10 +311,11 @@ def test_criterion_10_property_suites():
         label = oriented.components[0].label
         assert dims_of(reverse(oriented, label), 3) == dims_of(oriented, 3)
 
-        # Non-transitive regular graphs betray themselves: either a loop
-        # count is uneven by length six, or the certified level-1 bound
-        # already exceeds one.
+        # Non-transitive regular graphs betray themselves: a loop count is
+        # uneven by length six, and the certified level-1 bound exceeds one
+        # with witnesses taken from that count.
         seen = set()
+        non_transitive = 0
         for n in range(2, 9):
             for rep in regular_graph_reps(n):
                 for g in (rep, complement(rep)):
@@ -324,11 +325,13 @@ def test_criterion_10_property_suites():
                     seen.add(key)
                     if automorphism_group(g).is_transitive():
                         continue
+                    non_transitive += 1
                     loops_ok, _, _ = loop_rule_check(g)
-                    if loops_ok:
-                        bound, certificates = bounded_c1(g)
-                        assert bound >= 2
-                        assert certificates
+                    assert not loops_ok
+                    bound, certificates = bounded_c1(g)
+                    assert bound >= 2
+                    assert certificates
+        assert non_transitive == 10
 
         # Exact radii of every closed form in play.
         assert tl_series(4).radius() == Fraction(1, 4)

@@ -410,6 +410,48 @@ def test_c1_bound_trivial_on_transitive_graphs():
         assert certificates == []
 
 
+def test_c1_witnesses_come_from_one_color():
+    # The total matrix is the triangle's, whose loop counts are constant,
+    # but color a alone has uneven closed walks of length 2.
+    g = graph_from_lines(3, ["edge a 0 2", "edge b 0 1", "edge b 1 2"])
+    rank, certificates = bounded_c1(g)
+    assert rank == 2
+    assert certificates == [
+        tuple(GaussianRational.of(x) for x in w) for w in ((0, 1, 0), (1, 0, 1))
+    ]
+
+
+def random_two_color_graph(rng: random.Random) -> ColoredGraph:
+    n = rng.randrange(3, 8)
+    second = rng.choice(["edge b", "arc b"])
+    lines = []
+    for i, j in itertools.combinations(range(n), 2):
+        kind = rng.choice(["", "", "edge a", second])
+        if kind:
+            lines.append(f"{kind} {i} {j}" if rng.random() < 0.5 else f"{kind} {j} {i}")
+    return graph_from_lines(n, lines)
+
+
+def test_c1_witnesses_partition_the_vertices_into_fixed_sets():
+    graphs = [parse_graph(path.read_text()) for path in sorted(GRAPHS_DIR.glob("*.graph"))]
+    graphs = [g for g in graphs if g.n <= 8]
+    rng = random.Random(24)
+    graphs += [random_two_color_graph(rng) for _ in range(60)]
+    witnessed = 0
+    for g in graphs:
+        _, certificates = bounded_c1(g)
+        if not certificates:
+            continue
+        witnessed += 1
+        assert len(certificates) >= 2
+        vectors = [[int(x.re) for x in w] for w in certificates]
+        assert all(set(w) == {0, 1} for w in vectors)
+        assert [sum(col) for col in zip(*vectors)] == [1] * g.n
+        for p in automorphism_group(g).generators:
+            assert all(w[p[i]] == w[i] for w in vectors for i in range(g.n))
+    assert witnessed
+
+
 # ---------------------------------------------------------------------------
 # Block elimination and the float64 exactness bound.
 
@@ -802,21 +844,28 @@ def test_op_tables_match_the_digit_table_construction():
             assert np.array_equal(got.reps, want.reps), (name, m)
             assert np.array_equal(got.orbit_dense, want.orbit_dense), (name, m)
             assert got.R == want.R
-            assert np.array_equal(engine.rot_gather[m], ref.rot_gather[m]), (name, m)
-            assert np.array_equal(engine.rev_gather[m], ref.rev_gather[m]), (name, m)
+            for kind, want_gather in (("rot", ref.rot_gather[m]), ("star", ref.rev_gather[m])):
+                src, gather, mask, summed = engine.ops[kind][m]
+                assert (src, mask, summed) == (m, None, False), (name, kind, m)
+                assert np.array_equal(gather, want_gather), (name, kind, m)
             for a, b in zip(engine._mult_tables_for(m), _mult_tables_for(ref, m)):
                 assert np.array_equal(a, b), (name, m)
             if m >= 2:
                 assert np.array_equal(engine._jones_vec(m), _jones_vec(ref, m)), (name, m)
-        assert engine.incl_map[0] is None and ref.incl_map[0] is None
-        for (gather, mask), (ref_gather, ref_mask) in zip(engine.incl_map[1:], ref.incl_map[1:]):
-            assert np.array_equal(gather, ref_gather), name
-            assert (mask is None) == (ref_mask is None), name
-            assert mask is None or np.array_equal(mask, ref_mask), name
-        assert engine.expect_map[top] is None and ref.expect_map[top] is None
-        for got, want in zip(engine.expect_map[:top], ref.expect_map[:top]):
-            assert got[1] == want[1], name
-            assert np.array_equal(got[0], want[0]), name
+        assert engine.ops["incl"][0] is None and ref.incl_map[0] is None
+        for m in range(1, top + 1):
+            src, gather, mask, summed = engine.ops["incl"][m]
+            ref_gather, ref_mask = ref.incl_map[m]
+            assert (src, summed) == (m - 1, False), (name, m)
+            assert np.array_equal(gather, ref_gather), (name, m)
+            assert (mask is None) == (ref_mask is None), (name, m)
+            assert mask is None or np.array_equal(mask, ref_mask), (name, m)
+        assert engine.ops["expect"][top] is None and ref.expect_map[top] is None
+        for m in range(top):
+            src, gather, mask, summed = engine.ops["expect"][m]
+            ref_gather, ref_summed = ref.expect_map[m]
+            assert (src, mask, summed) == (m + 1, None, ref_summed), (name, m)
+            assert np.array_equal(gather, ref_gather), (name, m)
 
 
 @pytest.mark.parametrize("name", ["path-4", "triangle-and-arc"])
@@ -841,9 +890,9 @@ def test_products_of_rows_match_spinplanar_mult(name):
         # The star reverses a product, which _materialise uses when a block
         # has more letters than rows.
         starred = _apply_letters(
-            engine._star(m, b)[:, None], engine._star(m, a)[..., None], tables
+            engine._image("star", m, b)[:, None], engine._image("star", m, a)[..., None], tables
         )[:, 0, 0]
-        assert np.array_equal(engine._star(m, starred), got), m
+        assert np.array_equal(engine._image("star", m, starred), got), m
         for x, code in enumerate(lv.reps.tolist()):
             value = want[tuples[code]]
             assert value.im == 0 and value.re.denominator == 1
