@@ -133,7 +133,7 @@ from itertools import count
 
 import numpy as np
 
-from .graphs import ColoredGraph, _component_walk_matrix, loop_counts, loop_rule_check
+from .graphs import LOOP_SCREEN_LENGTH, ColoredGraph, _component_walk_matrix, total_matrix
 from .scalars import GaussianRational
 from .symmetry import automorphism_group
 
@@ -149,6 +149,7 @@ _ELEMENT_BUDGET = 1 << 20  # float64 elements in one letter-product temporary
 _LETTER_ALL_MAX = 4  # levels up to here are algebras on a vertex-transitive graph
 _TUPLE_LIMIT = 2_000_000  # raw tuples of the top level one engine may code
 _BASIS_BUDGET = 2 << 30  # bytes of basis rows one engine may allocate
+_SOURCE = {"rot": 0, "star": 0, "incl": -1, "expect": 1}  # source level - target level
 
 
 class ModularMismatchError(RuntimeError):
@@ -461,26 +462,25 @@ class _Engine:
     # -- op tables ---------------------------------------------------------
 
     def _build_op_tables(self) -> None:
-        """ops[kind][m] = (source level, gather, mask, summed): the level-m
-        image under kind of a vector v at the source level is v[..., gather],
+        """ops[kind][m] = (gather, mask, summed): the level-m image under
+        kind of a vector v at level m + _SOURCE[kind] is v[..., gather],
         times mask if any, summed over its last axis if summed (_image). By
-        arithmetic on tuple codes: rot and star read level m, rotation moving
-        the last digit first and star reversing the digits; incl reads level
-        m - 1, deleting digit m // 2, masked on even m; expect reads level
-        m + 1, inserting digit (m + 1) // 2, summed on even m.
+        arithmetic on tuple codes: rotation moves the last digit first, star
+        reverses the digits, incl deletes digit m // 2, masked on even m, and
+        expect inserts digit (m + 1) // 2, summed on even m.
         ops["incl"][0] and ops["expect"][top] are None."""
         n = self.n
         rot, star, incl, expect = [], [], [None], []
         for lv in self.levels:
             rest, last = np.divmod(lv.reps, n)
-            rot.append((lv.m, lv.orbit_dense[last * n ** max(lv.m - 1, 0) + rest], None, False))
-            star.append((lv.m, lv.orbit_dense[_reversed_codes(lv.reps, n, lv.m)], None, False))
+            rot.append((lv.orbit_dense[last * n ** max(lv.m - 1, 0) + rest], None, False))
+            star.append((lv.orbit_dense[_reversed_codes(lv.reps, n, lv.m)], None, False))
         for m in range(1, self.top + 1):
             low = n ** (m - 1 - m // 2)
             head, rest = np.divmod(self.levels[m].reps, low * n)
             digit, tail = np.divmod(rest, low)
             gather = self.levels[m - 1].orbit_dense[head * low + tail]
-            incl.append((m - 1, gather, head % n == digit if m % 2 == 0 else None, False))
+            incl.append((gather, head % n == digit if m % 2 == 0 else None, False))
         for m in range(self.top):
             low = n ** (m // 2)
             head, tail = np.divmod(self.levels[m].reps, low)
@@ -488,7 +488,7 @@ class _Engine:
                 src = ((head * n)[:, None] + np.arange(n)) * low + tail[:, None]
             else:
                 src = (head * n + head % n) * low + tail
-            expect.append((m + 1, self.levels[m + 1].orbit_dense[src], None, m % 2 == 0))
+            expect.append((self.levels[m + 1].orbit_dense[src], None, m % 2 == 0))
         expect.append(None)
         self.ops = {"rot": rot, "star": star, "incl": incl, "expect": expect}
 
@@ -548,7 +548,7 @@ class _Engine:
 
     def _image(self, kind: str, m: int, v: np.ndarray) -> np.ndarray:
         """The level-m image under kind of a vector (2, R) or stack (2, s, R) at its source."""
-        _, gather, mask, summed = self.ops[kind][m]
+        gather, mask, summed = self.ops[kind][m]
         out = v[..., gather]
         if mask is not None:
             out = out * mask
@@ -572,7 +572,7 @@ class _Engine:
 
     def _materialise(self, m: int, items: list[tuple]) -> np.ndarray:
         """The candidate vectors of the items: one _image per structural
-        kind, of the rows of the source level that ops names for it.
+        kind, of the rows of its source level (_SOURCE).
 
         The products are taken as one cross product per kind, of the
         distinct rows and letters its items name. Each kind pairs a few new
@@ -595,8 +595,7 @@ class _Engine:
                 at.append(pos)
                 idx.append(item[1])
         for kind, (at, idx) in images.items():
-            src = self.ops[kind][m][0]
-            block[:, at] = self._image(kind, m, self.bases[src].rows[:, idx])
+            block[:, at] = self._image(kind, m, self.bases[m + _SOURCE[kind]].rows[:, idx])
         if products:
             tables = self._mult_tables_for(m)
             rows = self.bases[m].rows
@@ -735,16 +734,17 @@ def bounded_c1(g: ColoredGraph) -> tuple[int, list[tuple[GaussianRational, ...]]
     Every vector a closure run to level 3 keeps is independent modulo a
     prime, hence genuinely independent, so the count is a certified lower
     bound; a value of 2 or more rules out a one-dimensional fixed algebra.
-    The witnesses are the indicator vectors, by ascending count, of the
-    level sets of the first uneven loop_counts that loop_rule_check
-    reports: a quantum symmetry commutes with each color's arc matrix (the
-    color-splitting lemma), so it fixes every diagonal of its powers. They
-    are empty when the rank is at most 1 or the loop screen passes."""
+    Above 1 the witnesses are the indicator vectors, by ascending (re, im),
+    of the level sets of the first uneven diagonal of a power of the total
+    matrix up to LOOP_SCREEN_LENGTH, which every symmetry fixes."""
     rank = closure(g, ClosureConfig(max_level=3)).dims[1]
-    passed, length, label = loop_rule_check(g)
-    if rank <= 1 or passed:
+    if rank <= 1:
         return rank, []
-    counts = loop_counts(g, length, label)
-    return rank, [
-        tuple(GaussianRational.of(int(c == v)) for c in counts) for v in sorted(set(counts))
-    ]
+    t = power = total_matrix(g)
+    for _ in range(2, LOOP_SCREEN_LENGTH + 1):
+        power = power @ t
+        diag = [power[i, i] for i in range(g.n)]
+        values = sorted(set(diag), key=lambda z: (z.re, z.im))
+        if len(values) > 1:
+            return rank, [tuple(GaussianRational.of(int(d == v)) for d in diag) for v in values]
+    return rank, []

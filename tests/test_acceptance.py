@@ -313,7 +313,7 @@ def test_criterion_10_property_suites():
 
         # Non-transitive regular graphs betray themselves: a loop count is
         # uneven by length six, and the certified level-1 bound exceeds one
-        # with witnesses taken from that count.
+        # with explicit witnesses.
         seen = set()
         non_transitive = 0
         for n in range(2, 9):

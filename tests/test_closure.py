@@ -31,6 +31,7 @@ from qsymgraph.graphs import (
     complete,
     disjoint_copies,
     edgeless,
+    loop_rule_check,
     multi_simplex,
     n_gon,
     oriented_n_gon,
@@ -410,15 +411,31 @@ def test_c1_bound_trivial_on_transitive_graphs():
         assert certificates == []
 
 
-def test_c1_witnesses_come_from_one_color():
-    # The total matrix is the triangle's, whose loop counts are constant,
-    # but color a alone has uneven closed walks of length 2.
-    g = graph_from_lines(3, ["edge a 0 2", "edge b 0 1", "edge b 1 2"])
-    rank, certificates = bounded_c1(g)
-    assert rank == 2
-    assert certificates == [
-        tuple(GaussianRational.of(x) for x in w) for w in ((0, 1, 0), (1, 0, 1))
+def indicators(*vectors):
+    return [tuple(GaussianRational.of(x) for x in w) for w in vectors]
+
+
+def test_c1_witnesses_see_both_directions_of_an_arc():
+    # The one arc 1 -> 2 closes no directed walk, so the loop screen passes;
+    # the total matrix i(A - A^T) still tells vertex 0 from the other two.
+    g = graph_from_lines(3, ["arc a 1 2"])
+    assert loop_rule_check(g) == (True, None, None)
+    assert bounded_c1(g) == (3, indicators((1, 0, 0), (0, 1, 1)))
+
+
+def test_c1_witnesses_count_walks_that_change_color():
+    # Two perfect matchings whose union is a 4-cycle and a 6-cycle: each
+    # color alone has constant loop counts, but a closed walk of length 4
+    # alternating the colors exists only on the 4-cycle.
+    cycles = [[0, 1, 2, 3], [4, 5, 6, 7, 8, 9]]
+    lines = [
+        f"edge {'ab'[k % 2]} {min(c[k], c[k - 1])} {max(c[k], c[k - 1])}"
+        for c in cycles
+        for k in range(len(c))
     ]
+    g = graph_from_lines(10, lines)
+    assert loop_rule_check(g) == (True, None, None)
+    assert bounded_c1(g) == (2, indicators((0,) * 4 + (1,) * 6, (1,) * 4 + (0,) * 6))
 
 
 def random_two_color_graph(rng: random.Random) -> ColoredGraph:
@@ -839,14 +856,15 @@ def test_op_tables_match_the_digit_table_construction():
             mult_tables=[None] * (top + 1), _wrap=engine._wrap,
         )
         _build_op_tables(ref)
+        assert closure_module._SOURCE == {"rot": 0, "star": 0, "incl": -1, "expect": 1}
         for m in range(top + 1):
             got, want = engine.levels[m], ref.levels[m]
             assert np.array_equal(got.reps, want.reps), (name, m)
             assert np.array_equal(got.orbit_dense, want.orbit_dense), (name, m)
             assert got.R == want.R
             for kind, want_gather in (("rot", ref.rot_gather[m]), ("star", ref.rev_gather[m])):
-                src, gather, mask, summed = engine.ops[kind][m]
-                assert (src, mask, summed) == (m, None, False), (name, kind, m)
+                gather, mask, summed = engine.ops[kind][m]
+                assert (mask, summed) == (None, False), (name, kind, m)
                 assert np.array_equal(gather, want_gather), (name, kind, m)
             for a, b in zip(engine._mult_tables_for(m), _mult_tables_for(ref, m)):
                 assert np.array_equal(a, b), (name, m)
@@ -854,17 +872,17 @@ def test_op_tables_match_the_digit_table_construction():
                 assert np.array_equal(engine._jones_vec(m), _jones_vec(ref, m)), (name, m)
         assert engine.ops["incl"][0] is None and ref.incl_map[0] is None
         for m in range(1, top + 1):
-            src, gather, mask, summed = engine.ops["incl"][m]
+            gather, mask, summed = engine.ops["incl"][m]
             ref_gather, ref_mask = ref.incl_map[m]
-            assert (src, summed) == (m - 1, False), (name, m)
+            assert not summed, (name, m)
             assert np.array_equal(gather, ref_gather), (name, m)
             assert (mask is None) == (ref_mask is None), (name, m)
             assert mask is None or np.array_equal(mask, ref_mask), (name, m)
         assert engine.ops["expect"][top] is None and ref.expect_map[top] is None
         for m in range(top):
-            src, gather, mask, summed = engine.ops["expect"][m]
+            gather, mask, summed = engine.ops["expect"][m]
             ref_gather, ref_summed = ref.expect_map[m]
-            assert (src, mask, summed) == (m + 1, None, ref_summed), (name, m)
+            assert (mask, summed) == (None, ref_summed), (name, m)
             assert np.array_equal(gather, ref_gather), (name, m)
 
 
