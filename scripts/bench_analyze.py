@@ -1,4 +1,5 @@
-"""Time `analyze`, `closure` and one `classify` on fixed corpora.
+"""Time `analyze`, `closure`, one `classify` and two of its rules on fixed
+corpora.
 
 Corpora:
 - analyze: in-process `analyze FILE --json --max-level 3` on the 38 files
@@ -22,13 +23,20 @@ Corpora:
   level 4 takes the lifted boxes and cup-caps as letters:
   edges drawn as above from `random.Random(seed)`, seeds 1, 2 and 3 on 6
   vertices and seed 1 on 7 (648, 648, 776 and 1513 orbits at level 4,
-  every level exact).
+  every level exact);
+- cyclic: `cyclic_criterion` on the ten graphs of `graphs/` in CYCLIC,
+  each as `classify` hands it on (the sparser of it and its complement):
+  every file that reaches the rule is one of them or a complement;
+- eigen: `rational_eigenvalues` of the adjacency matrices of the product
+  rule's factor candidates on 2, 3 and 4 vertices (K2, K3, C4 and K4),
+  the factor sizes the census reaches.
 
 The package's lru caches are cleared before every call, so that each
 call starts as cold as a fresh `qsymgraph` command. Per corpus the script
 prints, as JSON, the number of inputs, a sha256 of the outputs (the
 analyze exit codes and documents; the closure dims, buffered dims, orbit
-counts and exact flags; the classification's kind, trail and factors)
+counts and exact flags; the classification's kind, trail and factors;
+the verdict's acceptance, reason and values; the eigenvalues and split)
 and the best of REPEAT timings of the whole corpus; the key peak_rss_mib
 holds the process's peak resident memory (ru_maxrss) after every corpus
 it ran, so run one corpus per process to read a corpus's peak. Run it
@@ -68,7 +76,21 @@ LEVEL4 = ("cube", "two-squares", "octagon")
 LEVEL5 = ("cube", "two-squares")
 RANDOM = (8, 10)
 SMALL_GROUPS = ((6, 1), (6, 2), (6, 3), (7, 1))
-CORPORA = ["analyze", "closure", "level4", "level5", "rook", "random", "small-groups"]
+CYCLIC = (
+    "cube",
+    "discrete-torus",
+    "eight-wheel",
+    "heptagon",
+    "hexagon",
+    "nine-star-1",
+    "nine-star-2",
+    "octagon",
+    "pentagon",
+    "prism",
+)
+CORPORA = [
+    "analyze", "closure", "level4", "level5", "rook", "random", "small-groups", "cyclic", "eigen"
+]
 
 
 def clear_caches() -> None:
@@ -84,9 +106,17 @@ def clear_caches() -> None:
 def corpora(names: list[str]) -> dict:
     """Per corpus, a list of calls, each returning its output as text."""
     cli = importlib.import_module("qsymgraph.cli")
-    from qsymgraph.classify import classify
+    from qsymgraph.classify import classify, cyclic_criterion, product_factor_candidates
     from qsymgraph.closure import ClosureConfig, closure
-    from qsymgraph.graphs import complete, parse_graph, tensor_product
+    from qsymgraph.graphs import (
+        complement,
+        complete,
+        denser_than_half,
+        incidence,
+        parse_graph,
+        tensor_product,
+    )
+    from qsymgraph.linalg import rational_eigenvalues
 
     def graph(name: str):
         return parse_graph((ROOT / "graphs" / f"{name}.graph").read_text())
@@ -127,6 +157,25 @@ def corpora(names: list[str]) -> dict:
         edges = [f"edge e {a} {b}" for a, b in pairs if rng.random() < 0.4]
         return parse_graph(f"vertices {n}\n" + "\n".join(edges) + "\n")
 
+    def cyclic(name: str):
+        g = graph(name)
+        g = complement(g) if denser_than_half(g) else g
+
+        def call() -> str:
+            v = cyclic_criterion(g)
+            return json.dumps([v.accepted, v.reason, [str(z) for z in v.values]])
+
+        return call
+
+    def eigen(f):
+        m = incidence(f, f.components[0].label)
+
+        def call() -> str:
+            eigs, split = rational_eigenvalues(m)
+            return json.dumps([sorted((str(e), k) for e, k in eigs.items()), split])
+
+        return call
+
     files = sorted(p for p in (ROOT / "graphs").glob("*.graph") if p.stem not in SKIPPED)
     out = {
         "analyze": [analyze(p) for p in files],
@@ -136,6 +185,8 @@ def corpora(names: list[str]) -> dict:
         "rook": [rook],
         "random": [dims(random_graph(n), 3) for n in RANDOM],
         "small-groups": [dims(random_graph(n, seed), 4) for n, seed in SMALL_GROUPS],
+        "cyclic": [cyclic(name) for name in CYCLIC],
+        "eigen": [eigen(f) for m in (2, 3, 4) for f in product_factor_candidates(m)],
     }
     return {name: out[name] for name in names}
 

@@ -77,6 +77,18 @@ once the queues run dry the span of each basis is closed, whatever the
 order. The letters above the algebra levels are fixed vectors, so their
 span does not depend on the order either.
 
+A level with R_m = 1 starts full: its one basis row is [1] from the
+outset, accepted like any other, so its images and products are queued,
+and no block is ever materialised or reduced there. That is level 0
+always, level 1 on a vertex-transitive graph and every level on one
+vertex; the unit of level 0 needs no seed. The space is the same: the
+unit is in every run's level-0 space, so incl^m(unit) is in every run's
+level-m space, and it is nonzero: incl reads each tuple's entry at the
+tuple with one digit deleted, on even levels only where that digit equals
+its left neighbour, so incl^m(unit) is 1 on every tuple whose digits are
+all equal. A nonzero vector of width 1 reduces to the row [1]. Starting
+full changes only the order of processing.
+
 Every color is seeded by its real 0/1 arc matrix A, symmetric for an
 edge color and one-way for an oriented one: a magic unitary commutes
 with the paper's oriented box X = i(A - A^T) exactly when it commutes
@@ -281,6 +293,14 @@ class _ModBasis:
     @property
     def saturated(self) -> bool:
         return self.rank >= self.width
+
+    def start_full(self) -> None:
+        """Make a width-1 basis full: its one reduced row is [1]."""
+        assert self.width == 1 and not self.rank
+        self.rows[:] = 1
+        self.pivcols = np.zeros(1, dtype=np.intp)
+        self.pivotal[0] = True
+        self.rank = 1
 
     def insert_block(self, block: np.ndarray) -> None:
         """Reduce a block (2, k, width) of residues against the basis and
@@ -519,9 +539,6 @@ class _Engine:
         """Stack an exact small-integer vector into its two modular images."""
         return _mod(np.stack([vec, vec]).astype(np.float64))
 
-    def _unit_vec(self) -> np.ndarray:
-        return self._wrap(np.ones(1, dtype=np.int64))
-
     def _jones_vec(self, m: int) -> np.ndarray:
         lv = self.levels[m]
         d = lv.reps[:, None] // self.n ** np.arange(m - 1, -1, -1) % self.n
@@ -679,9 +696,17 @@ class _Engine:
 
     # -- main loop -----------------------------------------------------------
 
+    def _start_full_levels(self) -> None:
+        """Fill every level with one orbit and queue what its row yields
+        (module docstring): level 0 always, so its unit needs no seed."""
+        for m, basis in enumerate(self.bases):
+            if basis.width == 1:
+                basis.start_full()
+                self._accepted(m, 0)
+
     def run(self) -> None:
         self._core_letters()
-        self._push(0, ("vec", self._unit_vec()))
+        self._start_full_levels()
         for m in range(2, self.top + 1):
             self._push(m, ("vec", self._jones_vec(m)))
         if self.top >= 2:

@@ -1,11 +1,17 @@
 """Exact linear algebra over the Gaussian rationals.
 
 Small dense matrices (vertex-sized, so at most 16x16 here) and rational
-eigenvalue extraction through the rational-root theorem.
+eigenvalue extraction through the rational-root theorem. Integral input
+stays in Z: the characteristic polynomial of a rational matrix is taken
+over the integers, from the matrix scaled by its common denominator, and
+its coefficients become Fractions only when it is returned; the root
+search scales the polynomial back to integers and tests and divides out
+each candidate root there.
 """
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -89,29 +95,31 @@ class ExactMatrix:
 def char_poly(m: ExactMatrix) -> list[Fraction]:
     """Characteristic polynomial det(xI - M), low degree first.
 
-    Faddeev-LeVerrier over the rationals; requires rational entries.
+    Faddeev-LeVerrier over Z on B = dM, d the common denominator of the
+    entries; requires rational entries. For an integer matrix each step's
+    trace is divisible by its step number k (the coefficient it yields is
+    an integer), so the division by k is exact. det(xI - B) = d^n p(x/d),
+    so the coefficient of x^j of M's polynomial p is B's divided by
+    d^(n-j).
     """
     if m.nrows != m.ncols:
         raise ValueError("characteristic polynomial needs a square matrix")
     if not m.is_rational():
         raise ValueError("characteristic polynomial only for rational matrices")
     n = m.nrows
-    a = [[e.re for e in row] for row in m.rows]
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    work = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    d = math.lcm(*(e.re.denominator for row in m.rows for e in row))
+    b = [[e.re.numerator * (d // e.re.denominator) for e in row] for row in m.rows]
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    work = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
         if k > 1:
             for i in range(n):
                 work[i][i] += coeffs[n - k + 1]
-        nxt = [
-            [sum(a[i][t] * work[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        tr = sum(nxt[i][i] for i in range(n))
-        coeffs[n - k] = -tr / k
-        work = nxt
-    return coeffs
+        cols = list(zip(*work))
+        work = [[sum(map(operator.mul, row, col)) for col in cols] for row in b]
+        coeffs[n - k] = -sum(work[i][i] for i in range(n)) // k
+    return [Fraction(c, d ** (n - j)) for j, c in enumerate(coeffs)]
 
 
 def _divisors(v: int) -> list[int]:
@@ -131,56 +139,60 @@ def rational_roots(poly: Sequence[Fraction]) -> tuple[dict[Fraction, int], int]:
 
     Returns (roots, residual_degree) where residual_degree is the degree of
     the factor without rational roots (0 means the polynomial splits over Q).
+
+    The search runs over Z on the polynomial scaled to a primitive integer
+    one z of degree d: a candidate a/q in lowest terms, a dividing z_0 and
+    q dividing z_d, is a root when the sum of z_i a^i q^(d-i) vanishes, and
+    it is divided out as the factor qx - a, which leaves an integer
+    quotient (Gauss's lemma). A candidate not in lowest terms is skipped:
+    its lowest terms have a smaller q and were tried before it.
     """
     p = [Fraction(c) for c in poly]
     while p and p[-1] == 0:
         p.pop()
     if not p:
         raise ValueError("zero polynomial")
+    scale = math.lcm(*(c.denominator for c in p))
+    z = [c.numerator * (scale // c.denominator) for c in p]
     roots: dict[Fraction, int] = {}
     # Factor out x^k.
     k0 = 0
-    while p[k0] == 0:
+    while z[k0] == 0:
         k0 += 1
     if k0:
         roots[Fraction(0)] = k0
-        p = p[k0:]
-    while len(p) > 1:
-        lcm = 1
-        for c in p:
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-        z = [int(c * lcm) for c in p]
-        g = 0
-        for c in z:
-            g = math.gcd(g, c)
-        if g > 1:
-            z = [c // g for c in z]
-        found = None
-        for q in _divisors(z[-1]):
-            for pnum in _divisors(z[0]):
-                for sign in (1, -1):
-                    cand = Fraction(sign * pnum, q)
-                    val = Fraction(0)
-                    for c in reversed(z):
-                        val = val * cand + c
-                    if val == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
+        z = z[k0:]
+
+    def vanishes(a: int, q: int) -> bool:
+        d = len(z) - 1
+        return sum(c * a**i * q ** (d - i) for i, c in enumerate(z)) == 0
+
+    while len(z) > 1:
+        content = math.gcd(*z)
+        z = [c // content for c in z]
+        found = next(
+            (
+                (a, q)
+                for q in _divisors(z[-1])
+                for pnum in _divisors(z[0])
+                for a in (pnum, -pnum)
+                if math.gcd(pnum, q) == 1 and vanishes(a, q)
+            ),
+            None,
+        )
         if found is None:
             break
-        # Deflate by (x - found).
-        out = [Fraction(0)] * (len(p) - 1)
-        acc = Fraction(0)
-        for i in range(len(p) - 1, 0, -1):
-            acc = p[i] + acc * found
-            out[i - 1] = acc
-        p = out
-        roots[found] = roots.get(found, 0) + 1
-    return roots, len(p) - 1
+        a, q = found
+        # z = (qx - a) w, so w_(i-1) = (z_i + a w_i) / q, exactly, from the top.
+        w = [0] * (len(z) - 1)
+        acc = 0
+        for i in range(len(z) - 1, 0, -1):
+            acc = (z[i] + a * acc) // q
+            w[i - 1] = acc
+        z = w
+        root = Fraction(a, q)
+        roots[root] = roots.get(root, 0) + 1
+    return roots, len(z) - 1
 
 
 def rational_eigenvalues(m: ExactMatrix) -> tuple[dict[Fraction, int], bool]:

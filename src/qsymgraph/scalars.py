@@ -2,7 +2,11 @@
 
 All computations in this package that feed a dimension count or an
 eigenvalue comparison run over these types; floating point is never used
-for anything that decides a result.
+for anything that decides a result. Integral input stays in Z: the
+polynomial helpers keep int coefficients through sums, products and
+division by a monic divisor, and the n-th cyclotomic polynomial is monic
+with integer coefficients, so a cyclotomic element built from roots of
+unity and integers holds ints, each equal to the Fraction it stands for.
 """
 from __future__ import annotations
 
@@ -124,15 +128,16 @@ def format_gaussian(z: GaussianRational) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over Q, dense little-endian coefficient lists.
+# Polynomials over Q, dense little-endian lists of int or Fraction
+# coefficients; int coefficients stay int (module docstring).
 
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
+def _poly_trim(p: list[RationalLike]) -> list[RationalLike]:
     while p and p[-1] == 0:
         p.pop()
     return p
 
-def poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [_ZERO] * (len(a) + len(b) - 1) if a and b else []
+def poly_mul(a: Sequence[RationalLike], b: Sequence[RationalLike]) -> list[RationalLike]:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, ai in enumerate(a):
         if ai == 0:
             continue
@@ -140,16 +145,19 @@ def poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
             out[i + j] += ai * bj
     return _poly_trim(out)
 
-def poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+def poly_divmod(
+    a: Sequence[RationalLike], b: Sequence[RationalLike]
+) -> tuple[list[RationalLike], list[RationalLike]]:
+    """Quotient and remainder; by a monic b, int coefficients stay int."""
     b = _poly_trim(list(b))
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(a)
     _poly_trim(rem)
-    q = [_ZERO] * max(0, len(rem) - len(b) + 1)
-    inv_lead = 1 / b[-1]
+    q: list[RationalLike] = [0] * max(0, len(rem) - len(b) + 1)
+    lead = b[-1]
     while len(rem) >= len(b):
-        c = rem[-1] * inv_lead
+        c = rem[-1] if lead == 1 else _frac(rem[-1]) / lead
         d = len(rem) - len(b)
         q[d] = c
         for i, bi in enumerate(b):
@@ -161,15 +169,16 @@ def poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[list[Frac
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
-    """Coefficients of the n-th cyclotomic polynomial, low degree first.
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Integer coefficients of the n-th cyclotomic polynomial, low degree
+    first.
 
     Computed by dividing x^n - 1 by the cyclotomic polynomials of the
-    proper divisors of n.
+    proper divisors of n, each monic, so every step stays in Z.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
-    p: list[Fraction] = [-_ONE] + [_ZERO] * (n - 1) + [_ONE]
+    p: list[RationalLike] = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
             p, rem = poly_divmod(p, list(cyclotomic_polynomial(d)))
@@ -177,6 +186,7 @@ def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
     return tuple(p)
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     count = 0
     for k in range(1, n + 1):
@@ -190,11 +200,13 @@ class CyclotomicElement:
     """Element of Q(zeta_n) in the power basis 1, zeta, ..., zeta^(phi(n)-1).
 
     Coefficients are reduced modulo the n-th cyclotomic polynomial, so
-    equality of elements is equality of coefficient vectors.
+    equality of elements is equality of coefficient vectors. They are ints
+    where the arithmetic stayed in Z (module docstring), Fractions
+    otherwise.
     """
 
     order: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[RationalLike, ...]
 
     def __post_init__(self) -> None:
         if len(self.coeffs) != euler_phi(self.order):
@@ -202,9 +214,7 @@ class CyclotomicElement:
 
     @staticmethod
     def from_rational(n: int, value: RationalLike) -> "CyclotomicElement":
-        phi = euler_phi(n)
-        coeffs = [_frac(value)] + [_ZERO] * (phi - 1)
-        return CyclotomicElement(n, tuple(coeffs))
+        return CyclotomicElement(n, (value,) + (0,) * (euler_phi(n) - 1))
 
     @staticmethod
     def zero(n: int) -> "CyclotomicElement":
@@ -231,8 +241,7 @@ class CyclotomicElement:
 
     def __mul__(self, other: "CyclotomicElement | RationalLike") -> "CyclotomicElement":
         if isinstance(other, (int, Fraction)):
-            q = _frac(other)
-            return CyclotomicElement(self.order, tuple(a * q for a in self.coeffs))
+            return CyclotomicElement(self.order, tuple(a * other for a in self.coeffs))
         self._check(other)
         prod = poly_mul(list(self.coeffs), list(other.coeffs))
         return CyclotomicElement(self.order, _reduce_mod_phi(self.order, prod))
@@ -246,7 +255,7 @@ class CyclotomicElement:
         return all(c == 0 for c in self.coeffs[1:])
 
     def rational_part(self) -> Fraction:
-        return self.coeffs[0]
+        return _frac(self.coeffs[0])
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -263,11 +272,10 @@ class CyclotomicElement:
         return " + ".join(parts)
 
 
-def _reduce_mod_phi(n: int, poly: list[Fraction]) -> tuple[Fraction, ...]:
-    phi_poly = list(cyclotomic_polynomial(n))
-    _, rem = poly_divmod(poly, phi_poly)
+def _reduce_mod_phi(n: int, poly: list[RationalLike]) -> tuple[RationalLike, ...]:
+    _, rem = poly_divmod(poly, cyclotomic_polynomial(n))
     deg = euler_phi(n)
-    rem = rem + [_ZERO] * (deg - len(rem))
+    rem = rem + [0] * (deg - len(rem))
     return tuple(rem[:deg])
 
 
@@ -277,5 +285,4 @@ def cyclotomic_power(n: int, k: int) -> CyclotomicElement:
     if n < 1:
         raise ValueError("order must be >= 1")
     k %= n
-    poly = [_ZERO] * k + [_ONE]
-    return CyclotomicElement(n, _reduce_mod_phi(n, poly))
+    return CyclotomicElement(n, _reduce_mod_phi(n, [0] * k + [1]))

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from qsymgraph.classify import (
+    CENSUS_MAX_N,
+    _even_triangles,
     _graph_of_key,
     _least_key,
     _neighbours,
@@ -35,6 +37,7 @@ from qsymgraph.graphs import (
     complement,
     complete,
     cube,
+    denser_than_half,
     disjoint_copies,
     edgeless,
     eight_spoke_wheel,
@@ -653,6 +656,57 @@ def test_odd_degree_sums_yield_nothing():
         for k in range(1, n, 2):
             if n % 2:
                 assert next(_regular_completions(n, k), None) is None, (n, k)
+
+
+def test_triangle_screen_keeps_exactly_the_vertex_transitive_classes():
+    # The census labels only completions with one triangle count at every
+    # vertex; the vertex-transitive classes among them are those of all
+    # completions.
+    kept = {}
+    for n in range(1, 11):
+        every: set[bytes] = set()
+        screened: set[bytes] = set()
+        for k in range((n - 1) // 2 + 1):
+            for nbr in _regular_completions(n, k):
+                key = _least_key(nbr)
+                every.add(key)
+                if _even_triangles(nbr):
+                    screened.add(key)
+                    kept[n] = kept.get(n, 0) + 1
+
+        def transitive(keys):
+            graphs = ((key, _graph_of_key(key, n)) for key in keys)
+            return {key for key, g in graphs if automorphism_group(g).is_transitive()}
+
+        assert transitive(screened) == transitive(every), n
+        if n <= CENSUS_MAX_N:
+            reps = regular_graph_reps(n, triangle_screen=True)
+            assert [canonical_key(g)[1:] for g in reps] == sorted(screened), n
+    # 22 of the 46 completions on 1..8 vertices, 25 of 275 on 9, 57 of 2,492 on 10.
+    assert (sum(kept[n] for n in range(1, 9)), kept[9], kept[10]) == (22, 25, 57)
+
+
+def test_census_classifies_each_complement_pair_on_its_sparse_rep(monkeypatch):
+    # One classification per complement pair, on the sparse rep the
+    # enumeration labelled, whose group is memoised already.
+    module = importlib.import_module("qsymgraph.classify")
+    reps = [g for n in range(1, 9) for g in regular_graph_reps(n, triangle_screen=True)]
+    classified, depth = [], [0]
+
+    def recording_classify(g, cfg=None, **kwargs):
+        if not depth[0]:  # the product rule classifies its factors too
+            classified.append(g)
+        depth[0] += 1
+        try:
+            return classify(g, cfg, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(module, "classify", recording_classify)
+    report = enumerate_homogeneous(8, ClosureConfig(max_level=2))
+    assert all(g in reps for g in classified)
+    pairs = sum(not denser_than_half(e.graph) for e in report.entries)
+    assert len(classified) == pairs < report.total
 
 
 def test_cell_rule_labels_far_fewer_completions():

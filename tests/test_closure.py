@@ -297,6 +297,39 @@ def test_each_block_takes_at_most_two_letter_products(monkeypatch, g, level):
     assert 0 < max(calls) <= 2
 
 
+class QueuedUnitEngine(closure_module._Engine):
+    """The engine with no level started full: the unit is queued at level 0,
+    and every level's items are materialised and reduced."""
+
+    def _start_full_levels(self):
+        self._push(0, ("vec", self._wrap(np.ones(1, dtype=np.int64))))
+
+
+def test_levels_with_one_orbit_start_full(monkeypatch):
+    # A width-1 basis never reduces a block, and starting full changes
+    # neither a dimension nor a letter count.
+    widths = []
+    insert_block = _ModBasis.insert_block
+
+    def recording_insert(self, block):
+        widths.append(self.width)
+        return insert_block(self, block)
+
+    monkeypatch.setattr(_ModBasis, "insert_block", recording_insert)
+    full_levels = 0
+    for path in sorted(GRAPHS_DIR.glob("*.graph")):
+        g = parse_graph(path.read_text())
+        result = closure(g, ClosureConfig(max_level=3))
+        assert 1 not in widths, path.stem
+        full_levels += result.orbit_counts.count(1)
+        queued = QueuedUnitEngine(g, 3)
+        queued.run()
+        assert queued.dims() == result.buffered_dims, path.stem
+        assert queued.letter_counts == result.letter_counts, path.stem
+        widths.clear()
+    assert full_levels > len(list(GRAPHS_DIR.glob("*.graph")))
+
+
 def test_dims_ignore_complement():
     for g in (n_gon(5), n_gon(4)):
         assert dims_of(complement(g), 3) == dims_of(g, 3)

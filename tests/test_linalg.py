@@ -3,6 +3,7 @@ reference engine's fraction-free echelon basis over the Gaussian integers."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -14,7 +15,7 @@ from qsymgraph.linalg import (
     rational_eigenvalues,
     rational_roots,
 )
-from qsymgraph.scalars import GR_I, GaussianRational
+from qsymgraph.scalars import GR_I, GaussianRational, poly_mul
 from reference_engine import EchelonBasis
 
 
@@ -55,6 +56,75 @@ def test_char_poly_identity():
         Fraction(-2),
         Fraction(1),
     ]
+
+
+def fraction_char_poly(rows: list[list[Fraction]]) -> list[Fraction]:
+    """Faddeev-LeVerrier in Fractions, on the entries as given."""
+    n = len(rows)
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    work = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        if k > 1:
+            for i in range(n):
+                work[i][i] += coeffs[n - k + 1]
+        work = [
+            [sum(rows[i][t] * work[t][j] for t in range(n)) for j in range(n)] for i in range(n)
+        ]
+        coeffs[n - k] = -sum(work[i][i] for i in range(n)) / k
+    return coeffs
+
+
+def random_matrices(seed: int, rational: bool):
+    rng = random.Random(seed)
+    for _ in range(40):
+        n = rng.randint(0, 7)
+        yield [
+            [Fraction(rng.randint(-6, 6), rng.randint(1, 9) if rational else 1) for _ in range(n)]
+            for _ in range(n)
+        ]
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])
+def test_char_poly_over_z_matches_the_fraction_path(rational):
+    for rows in random_matrices(5, rational):
+        m = ExactMatrix([[GaussianRational.of(x) for x in row] for row in rows])
+        got = char_poly(m)
+        assert got == fraction_char_poly(rows)
+        assert all(type(c) is Fraction for c in got)
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])
+def test_char_poly_over_z_matches_sympy(rational):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for rows in random_matrices(6, rational):
+        if not rows:
+            continue
+        m = ExactMatrix([[GaussianRational.of(v) for v in row] for row in rows])
+        want = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row]
+                             for row in rows])
+        coeffs = want.charpoly(x).all_coeffs()[::-1]
+        assert char_poly(m) == [Fraction(int(c.p), int(c.q)) for c in coeffs]
+
+
+def test_rational_roots_over_z_find_the_planted_roots():
+    # Products of planted rational roots, a rational scale and a factor
+    # with no rational root: the search over Z finds exactly the planted
+    # roots with their multiplicities and leaves the factor's degree.
+    rng = random.Random(8)
+    irreducible = ([], [2, 0, 1], [-3, 0, 1], [1, 1, 1], [-1, 0, 2], [2, 0, 0, 1])
+    for _ in range(80):
+        planted = [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                   for _ in range(rng.randint(0, 6))]
+        poly = [Fraction(rng.choice([-5, -2, 1, 3]), rng.randint(1, 3))]
+        for r in planted:
+            poly = poly_mul(poly, [-r, Fraction(1)])
+        extra = rng.choice(irreducible)
+        if extra:
+            poly = poly_mul(poly, [Fraction(c) for c in extra])
+        roots, residual = rational_roots(poly)
+        assert roots == Counter(planted)
+        assert residual == max(len(extra) - 1, 0)
 
 
 def test_rational_roots_with_residual():

@@ -1,11 +1,15 @@
 """Exact scalar arithmetic: Gaussian rationals, polynomials, cyclotomics."""
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+from qsymgraph.classify import cyclic_criterion
+from qsymgraph.graphs import CyclicProfile, cyclic_from_profile
 from qsymgraph.scalars import (
     GR_I,
     GR_ONE,
@@ -142,3 +146,74 @@ def test_cyclotomic_scalar_multiply():
     z = cyclotomic_power(5, 2)
     tripled = z * 3
     assert tripled - z - z - z == CyclotomicElement.zero(5)
+
+
+# -- integer cyclotomic arithmetic against a Fraction reference -----------------
+
+
+def fraction_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Long division in Fractions; the remainder keeps len(b) - 1 terms."""
+    rem, quot = list(a), [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(rem) >= len(b):
+        c = rem[-1] / b[-1]
+        quot[len(rem) - len(b)] = c
+        for i, bi in enumerate(b):
+            rem[len(rem) - len(b) + i] -= c * bi
+        rem.pop()
+    return quot, rem + [Fraction(0)] * (len(b) - 1 - len(rem))
+
+
+@lru_cache(maxsize=None)
+def fraction_cyclotomic(n: int) -> tuple[Fraction, ...]:
+    p = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    for d in range(1, n):
+        if n % d == 0:
+            p, rem = fraction_divmod(p, list(fraction_cyclotomic(d)))
+            assert not any(rem)
+    return tuple(p)
+
+
+def fraction_power(n: int, k: int) -> tuple[Fraction, ...]:
+    """zeta_n^k in the power basis, reduced in Fractions."""
+    poly = [Fraction(0)] * (k % n) + [Fraction(1)]
+    return tuple(fraction_divmod(poly, list(fraction_cyclotomic(n)))[1])
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_cyclotomic_arithmetic_stays_in_z(n):
+    phi = cyclotomic_polynomial(n)
+    assert phi == fraction_cyclotomic(n)
+    assert all(type(c) is int for c in phi)
+    for k in range(2 * n):
+        z = cyclotomic_power(n, k)
+        assert z.coeffs == fraction_power(n, k)
+        assert all(type(c) is int for c in z.coeffs)
+    assert CyclotomicElement.from_rational(n, -3).coeffs == (-3,) + (0,) * (euler_phi(n) - 1)
+
+
+def test_cyclic_criterion_values_match_the_fraction_reference():
+    # Values and reasons on circulants of up to 24 vertices, against sums of
+    # Fraction-reduced powers printed by the same formatter.
+    rng = random.Random(24)
+    checked = 0
+    for n in range(3, 25):
+        for _ in range(3):
+            chosen = rng.sample(range(1, n // 2 + 1), rng.randint(1, max(1, n // 4)))
+            verdict = cyclic_criterion(cyclic_from_profile(CyclicProfile.from_exponents(n, chosen)))
+            if verdict.profile is None:
+                continue
+            checked += 1
+            exps = verdict.profile.exponents()
+            powers = [[fraction_power(n, j * k) for k in exps] for j in range(n // 2 + 1)]
+            want = [CyclotomicElement(n, tuple(map(sum, zip(*row)))) for row in powers]
+            assert verdict.values == tuple(want)
+            assert [str(v) for v in verdict.values] == [str(w) for w in want]
+            assert all(type(c) is int for v in verdict.values for c in v.coeffs)
+            pairs = itertools.combinations(range(len(want)), 2)
+            pair = next(((a, b) for a, b in pairs if want[a] == want[b]), None)
+            if pair is not None:
+                a, b = pair
+                assert verdict.reason == f"eigenvalue collision Q(w^{a}) = Q(w^{b}) = {want[a]}"
+            else:
+                assert verdict.accepted == (n != 4)
+    assert checked > 40
